@@ -28,8 +28,6 @@ from .clustering import (
     Cluster,
     ClusterPlan,
     OrderedPlan,
-    avg_comm_time,
-    avg_exec_time,
     cluster_dfs_cst,
     cluster_mdnc,
     cluster_none,
@@ -39,7 +37,6 @@ from .clustering import (
     upward_rank,
 )
 from .evaluation import (
-    Assignment,
     Baselines,
     Evaluator,
     LossReport,

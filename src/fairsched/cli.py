@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import sys
 from pathlib import Path
@@ -134,10 +133,7 @@ def main(argv=None) -> int:
     handlers = {"run": _cmd_run, "gen": _cmd_gen, "eval": _cmd_eval, "replay": _cmd_replay}
     try:
         return handlers[args.command](args)
-    except (experiment.ConfigError, FormatError, ValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (experiment.ConfigError, FormatError, ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

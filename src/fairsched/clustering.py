@@ -4,8 +4,8 @@ Clustering groups tasks so every member of a cluster is pinned to the same
 resource, trading scheduling freedom for eliminated transfers. Expected
 costs over a heterogeneous catalog use
 
-* avg_exec_time(t)  = mean over resources of workload / cpu_capacity,
-* avg_comm_time(e)  = data_size / mean bandwidth.
+* avg exec(t)  = workload * mean over resources of 1 / cpu_capacity,
+* avg comm(e)  = data_size / mean bandwidth.
 
 Note the two aggregate differently on purpose: execution averages the
 per-resource times, communication divides by the average bandwidth.
@@ -47,7 +47,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import GraphError, ResourceCatalog, Task, Workflow, WorkflowSet
+from .model import GraphError, ResourceCatalog, Workflow, WorkflowSet
 
 
 @dataclass(frozen=True)
@@ -150,22 +150,17 @@ class OrderedPlan:
         return iter(self.order)
 
 
-def avg_exec_time(task: Task, catalog: ResourceCatalog) -> float:
-    """Mean execution time of a task across every resource type."""
-    return sum(task.workload / r.cpu_capacity for r in catalog) / len(catalog)
-
-
-def avg_comm_time(data_size: float, catalog: ResourceCatalog) -> float:
-    """Transfer time of a data size over the mean catalog bandwidth."""
+def _catalog_means(catalog: ResourceCatalog) -> tuple[float, float]:
+    """(mean bandwidth, mean 1 / cpu_capacity): the average-cost graph's scales."""
     mean_bw = sum(r.bandwidth for r in catalog) / len(catalog)
-    return data_size / mean_bw
+    inv_cu = sum(1.0 / r.cpu_capacity for r in catalog) / len(catalog)
+    return mean_bw, inv_cu
 
 
 def upward_rank(w: Workflow, catalog: ResourceCatalog) -> dict[str, float]:
     """Classic upward rank on the average-cost graph: the expected length of
     the longest path from each task to an exit."""
-    mean_bw = sum(r.bandwidth for r in catalog) / len(catalog)
-    inv_cu = sum(1.0 / r.cpu_capacity for r in catalog) / len(catalog)
+    mean_bw, inv_cu = _catalog_means(catalog)
     rank: dict[str, float] = {}
     for tid in reversed(w.topological_order()):
         best = 0.0
@@ -179,8 +174,7 @@ def upward_rank(w: Workflow, catalog: ResourceCatalog) -> dict[str, float]:
 
 def cluster_dfs_cst(ws: WorkflowSet, catalog: ResourceCatalog) -> ClusterPlan:
     """Depth-first chains along the most expensive successor transitions."""
-    mean_bw = sum(r.bandwidth for r in catalog) / len(catalog)
-    inv_cu = sum(1.0 / r.cpu_capacity for r in catalog) / len(catalog)
+    mean_bw, inv_cu = _catalog_means(catalog)
     clusters: list[Cluster] = []
     for w in ws.workflows:
         rank = upward_rank(w, catalog)
@@ -219,19 +213,11 @@ def cluster_p2p(ws: WorkflowSet, catalog: ResourceCatalog | None = None) -> Clus
     for w in ws.workflows:
         topo = w.topological_order()
         link: dict[str, str] = {}
-        merged_into: set[str] = set()
         for tid in topo:
             succ = w.successors(tid)
             if len(succ) == 1 and len(w.predecessors(succ[0])) == 1:
                 link[tid] = succ[0]
-                merged_into.add(succ[0])
-        for tid in topo:
-            if tid in merged_into:
-                continue
-            members = [tid]
-            while members[-1] in link:
-                members.append(link[members[-1]])
-            clusters.append(Cluster(len(clusters), w.id, tuple(members)))
+        _append_chains(clusters, w, topo, link)
     return ClusterPlan(clusters)
 
 
@@ -252,14 +238,20 @@ def cluster_mdnc(ws: WorkflowSet, catalog: ResourceCatalog | None = None) -> Clu
                     link[tid] = s
                     claimed.add(s)
                     break
-        topo_index = {tid: i for i, tid in enumerate(topo)}
-        heads = sorted((tid for tid in topo if tid not in claimed), key=topo_index.__getitem__)
-        for head in heads:
-            members = [head]
-            while members[-1] in link:
-                members.append(link[members[-1]])
-            clusters.append(Cluster(len(clusters), w.id, tuple(members)))
+        _append_chains(clusters, w, topo, link)
     return ClusterPlan(clusters)
+
+
+def _append_chains(clusters: list[Cluster], w: Workflow, topo: list[str], link: dict[str, str]) -> None:
+    """One cluster per maximal chain of `link` steps, heads in topological order."""
+    linked = set(link.values())
+    for head in topo:
+        if head in linked:
+            continue
+        members = [head]
+        while members[-1] in link:
+            members.append(link[members[-1]])
+        clusters.append(Cluster(len(clusters), w.id, tuple(members)))
 
 
 def cluster_none(ws: WorkflowSet, catalog: ResourceCatalog | None = None) -> ClusterPlan:

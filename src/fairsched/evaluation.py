@@ -58,16 +58,6 @@ def exec_cost(task: Task, resource: Resource) -> float:
 
 
 @dataclass(frozen=True)
-class Assignment:
-    """One resource index per cluster, aligned with cluster ids."""
-
-    genes: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.genes)
-
-
-@dataclass(frozen=True)
 class Placement:
     resource_id: str
     start: float
@@ -167,34 +157,29 @@ def unfairness(losses) -> float:
 
 def heft_alone(w: Workflow, catalog: ResourceCatalog) -> float:
     """Makespan of the workflow scheduled alone by HEFT on this catalog."""
-    return _heft_schedule(w, catalog)[0]
-
-
-def _heft_schedule(w: Workflow, catalog: ResourceCatalog):
     rank = upward_rank(w, catalog)
     order = sorted((t.id for t in w.tasks), key=lambda tid: (-rank[tid], tid))
     timelines: list[list[tuple[float, float]]] = [[] for _ in catalog]
-    placed: dict[str, tuple[int, float, float]] = {}
+    placed: dict[str, tuple[int, float]] = {}  # task -> (resource index, finish)
     for tid in order:
         task = w.task(tid)
         best = None
         for ri, r in enumerate(catalog):
             ready = 0.0
             for p in w.predecessors(tid):
-                pr, _, pf = placed[p]
+                pr, pf = placed[p]
                 arrival = pf + comm_time(w.edge(p, tid).data_size, catalog[pr], r)
                 if arrival > ready:
                     ready = arrival
             et = task.workload / r.cpu_capacity
             start = _earliest_slot(timelines[ri], ready, et)
             finish = start + et
-            if best is None or finish < best[3]:
-                best = (ri, start, finish, finish)
-        ri, start, finish, _ = best
-        placed[tid] = (ri, start, finish)
+            if best is None or finish < best[2]:
+                best = (ri, start, finish)
+        ri, start, finish = best
+        placed[tid] = (ri, finish)
         insort(timelines[ri], (start, finish))
-    makespan = max((f for _, _, f in placed.values()), default=0.0)
-    return makespan, placed
+    return max((f for _, f in placed.values()), default=0.0)
 
 
 def _earliest_slot(timeline: list[tuple[float, float]], ready: float, duration: float) -> float:
@@ -255,7 +240,6 @@ class Evaluator:
         self.ws = ws
         self.catalog = catalog
         self.plan = plan
-        self.order = order
         self.baselines = baselines if baselines is not None else compute_baselines(ws, catalog)
 
         self._task_ids = list(order.order)
@@ -299,12 +283,7 @@ class Evaluator:
         return len(self.catalog)
 
     def _check_genes(self, genes) -> list[int]:
-        if hasattr(genes, "tolist"):
-            genes = genes.tolist()
-        elif isinstance(genes, Assignment):
-            genes = list(genes.genes)
-        else:
-            genes = list(genes)
+        genes = genes.tolist() if hasattr(genes, "tolist") else list(genes)
         if len(genes) != self.plan.n_clusters:
             raise ValueError(f"assignment length {len(genes)} != cluster count {self.plan.n_clusters}")
         n_res = len(self._cu)
@@ -365,11 +344,7 @@ class Evaluator:
         """(makespan, total cost, unfairness) of one assignment."""
         genes = self._check_genes(genes)
         _, ft, _, wf_finish, wf_cost = self._walk(genes)
-        losses = self._losses(wf_finish, wf_cost)
-        n = len(losses)
-        mean = sum(losses) / n
-        uf = math.sqrt(sum((x - mean) ** 2 for x in losses) / n)
-        return (max(ft), sum(wf_cost), uf)
+        return (max(ft), sum(wf_cost), unfairness(self._losses(wf_finish, wf_cost)))
 
     def decode(self, genes) -> Schedule:
         """Full schedule of one assignment, placements and fairness included."""
@@ -379,18 +354,7 @@ class Evaluator:
         placements = {
             tid: Placement(res_ids[task_res[i]], st[i], ft[i]) for i, tid in enumerate(self._task_ids)
         }
-        losses = self._losses(wf_finish, wf_cost)
-        per_wf = tuple(
-            WorkflowLoss(
-                workflow_id=w.id,
-                makespan=wf_finish[g],
-                cost=wf_cost[g],
-                slowdown=wf_finish[g] / self._heft[g],
-                overspending=wf_cost[g] / self._cheapest[g],
-            )
-            for g, w in enumerate(self.ws.workflows)
-        )
-        report = LossReport(per_wf, sum(losses) / len(losses), unfairness(losses))
+        report = _loss_report(self.ws, wf_finish, wf_cost, self.baselines)
         return Schedule(
             placements=placements,
             makespan=max(ft),
@@ -415,8 +379,8 @@ def decode(
 def loss_report(schedule: Schedule, ws: WorkflowSet, catalog: ResourceCatalog, baselines: Baselines) -> LossReport:
     """Recompute the fairness report from a schedule's placements alone."""
     by_res = {r.id: r for r in catalog}
-    per_wf = []
-    losses = []
+    finishes: list[float] = []
+    costs: list[float] = []
     for w in ws.workflows:
         finish = 0.0
         cost = 0.0
@@ -425,11 +389,20 @@ def loss_report(schedule: Schedule, ws: WorkflowSet, catalog: ResourceCatalog, b
             r = by_res[p.resource_id]
             finish = max(finish, p.finish)
             cost += (p.finish - p.start) * r.cost_per_interval / r.billing_interval
-        slowdown = finish / baselines.heft_makespan[w.id]
-        overspending = cost / baselines.cheapest_cost[w.id]
-        per_wf.append(WorkflowLoss(w.id, finish, cost, slowdown, overspending))
-        losses.append(slowdown + overspending)
-    return LossReport(tuple(per_wf), sum(losses) / len(losses), unfairness(losses))
+        finishes.append(finish)
+        costs.append(cost)
+    return _loss_report(ws, finishes, costs, baselines)
+
+
+def _loss_report(ws: WorkflowSet, finishes, costs, baselines: Baselines) -> LossReport:
+    """Slowdown and overspending of each workflow, given its co-scheduled
+    makespan and cost, with their mean loss and unfairness."""
+    per_wf = tuple(
+        WorkflowLoss(w.id, f, c, f / baselines.heft_makespan[w.id], c / baselines.cheapest_cost[w.id])
+        for w, f, c in zip(ws.workflows, finishes, costs)
+    )
+    losses = [l.loss for l in per_wf]
+    return LossReport(per_wf, sum(losses) / len(losses), unfairness(losses))
 
 
 def validate_schedule(

@@ -26,12 +26,11 @@ import numpy as np
 
 from . import io as wio
 from .clustering import CLUSTERERS, make_plan, order_interleave
-from .evaluation import compute_baselines
+from .evaluation import Evaluator, compute_baselines
 from .generator import GeneratorSpec, generate, stable_seed, table2_specs
 from .metrics import aggregate_scores, score_fronts, write_aggregate_csv, write_rdi_csv, write_run_scores_csv
 from .model import ResourceCatalog, WorkflowSet, ensure_valid
 from .nsga3 import Front, Individual, OptimizerConfig, run_with_evaluator
-from .evaluation import Evaluator
 
 log = logging.getLogger(__name__)
 
@@ -138,15 +137,9 @@ class ExperimentConfig:
             raise ConfigError("config document must be a JSON object")
         seed = int(doc.get("seed", 0))
         opt_doc = doc.get("optimizer", {})
-        try:
-            optimizer = OptimizerConfig(
-                population=int(opt_doc.get("population", 50)),
-                generations=int(opt_doc.get("generations", 200)),
-                crossover_rate=float(opt_doc.get("crossover_rate", 0.8)),
-                mutation_rate=float(opt_doc.get("mutation_rate", 0.01)),
-                divisions=int(opt_doc.get("divisions", 12)),
-                seed=int(opt_doc.get("seed", 0)),
-            )
+        try:  # each field cast to the type of its OptimizerConfig default
+            defaults = asdict(OptimizerConfig())
+            optimizer = OptimizerConfig(**{k: type(v)(opt_doc.get(k, v)) for k, v in defaults.items()})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad optimizer fields: {exc}") from exc
         raw_datasets = doc.get("datasets")
@@ -183,11 +176,7 @@ def load_config(path) -> ExperimentConfig:
 
 @dataclass
 class RunRecord:
-    """Everything needed to reproduce and audit a single optimizer run.
-
-    wall_time is measured and logged but deliberately excluded from the
-    persisted form so result trees are bit-identical across invocations.
-    """
+    """Everything needed to reproduce and audit a single optimizer run."""
 
     dataset: DatasetSpec
     clusterer: str
@@ -196,7 +185,6 @@ class RunRecord:
     optimizer: OptimizerConfig
     catalog: ResourceCatalog
     front: Front
-    wall_time: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -258,7 +246,7 @@ def _resolve_catalog(cfg: ExperimentConfig) -> ResourceCatalog:
 
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
-    """Run every (dataset, clusterer, repetition), scoring as we go.
+    """Run every (dataset, clusterer, repetition), then score the fronts.
 
     Returns the output directory. Layout:
 
@@ -279,7 +267,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     (out / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2) + "\n")
     wio.save_resources(catalog, out / "resources.json")
 
-    all_scores = []
+    fronts_by_dataset: dict[str, dict[str, list[np.ndarray]]] = {}
     for ds in cfg.datasets:
         ws = ensure_valid(_load_dataset(ds))
         if ds.generator is not None:
@@ -299,7 +287,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                 started = time.perf_counter()
                 front = run_with_evaluator(evaluator, opt)
                 elapsed = time.perf_counter() - started
-                record = RunRecord(ds, clusterer, rep, seed, opt, catalog, front, wall_time=elapsed)
+                record = RunRecord(ds, clusterer, rep, seed, opt, catalog, front)
                 record.save(run_dir / f"rep{rep:02d}.json")
                 front.to_csv(run_dir / f"rep{rep:02d}_front.csv")
                 fronts.append(front.objectives_array())
@@ -308,45 +296,55 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                     ds.name, clusterer, rep, len(front), elapsed,
                 )
             fronts_by_algorithm[clusterer] = fronts
-        scores, _ = score_fronts(ds.name, fronts_by_algorithm, normalize_igd=cfg.normalize_igd)
-        write_run_scores_csv(scores, out / "metrics" / f"{ds.name}_runs.csv")
-        all_scores.extend(scores)
-    aggregates = aggregate_scores(all_scores)
-    write_aggregate_csv(aggregates, out / "metrics" / "aggregate.csv")
-    write_rdi_csv(aggregates, out / "metrics" / "rdi.csv")
+        fronts_by_dataset[ds.name] = fronts_by_algorithm
+    _write_metrics(fronts_by_dataset, cfg.normalize_igd, out / "metrics")
     return out
 
 
+def _write_metrics(fronts_by_dataset, normalize_igd: bool, metrics_dir: Path) -> None:
+    """Score each dataset against its own union reference, writing
+    <ds>_runs.csv per dataset, then aggregate.csv and rdi.csv."""
+    all_scores = []
+    for name, fronts_by_algorithm in fronts_by_dataset.items():
+        scores, _ = score_fronts(name, fronts_by_algorithm, normalize_igd=normalize_igd)
+        write_run_scores_csv(scores, metrics_dir / f"{name}_runs.csv")
+        all_scores += scores
+    aggregates = aggregate_scores(all_scores)
+    write_aggregate_csv(aggregates, metrics_dir / "aggregate.csv")
+    write_rdi_csv(aggregates, metrics_dir / "rdi.csv")
+
+
+def _subdirs(parent: Path, config_order) -> list[Path]:
+    """Subdirectories in config order; names the config lacks follow by name."""
+    pos = {name: i for i, name in enumerate(config_order)}
+    return sorted((p for p in parent.iterdir() if p.is_dir()), key=lambda p: (pos.get(p.name, len(pos)), p.name))
+
+
 def score_stored_runs(runs_dir, out_dir, normalize_igd: bool = True) -> Path:
-    """Recompute every metric CSV from stored run records (the `eval` verb)."""
+    """Recompute every metric CSV from stored run records (the `eval` verb),
+    in the row order of the config.json that `run` writes beside runs/."""
     runs_dir = Path(runs_dir)
     if not runs_dir.is_dir():
         raise ConfigError(f"runs directory {runs_dir} does not exist")
+    config_path = runs_dir.parent / "config.json"
+    cfg = load_config(config_path) if config_path.is_file() else None
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    all_scores = []
-    dataset_dirs = sorted(p for p in runs_dir.iterdir() if p.is_dir())
-    if not dataset_dirs:
-        raise ConfigError(f"no run records under {runs_dir}")
-    for ds_dir in dataset_dirs:
+    fronts_by_dataset: dict[str, dict[str, list[np.ndarray]]] = {}
+    for ds_dir in _subdirs(runs_dir, [d.name for d in cfg.datasets] if cfg else ()):
         fronts_by_algorithm: dict[str, list[np.ndarray]] = {}
-        for cl_dir in sorted(p for p in ds_dir.iterdir() if p.is_dir()):
+        for cl_dir in _subdirs(ds_dir, cfg.clusterers if cfg else ()):
             fronts = []
             for record_path in sorted(cl_dir.glob("rep*.json")):
                 record = load_record(record_path)
                 fronts.append(record.front.objectives_array())
             if fronts:
                 fronts_by_algorithm[cl_dir.name] = fronts
-        if not fronts_by_algorithm:
-            continue
-        scores, _ = score_fronts(ds_dir.name, fronts_by_algorithm, normalize_igd=normalize_igd)
-        write_run_scores_csv(scores, out_dir / f"{ds_dir.name}_runs.csv")
-        all_scores.extend(scores)
-    if not all_scores:
+        if fronts_by_algorithm:
+            fronts_by_dataset[ds_dir.name] = fronts_by_algorithm
+    if not fronts_by_dataset:
         raise ConfigError(f"no run records under {runs_dir}")
-    aggregates = aggregate_scores(all_scores)
-    write_aggregate_csv(aggregates, out_dir / "aggregate.csv")
-    write_rdi_csv(aggregates, out_dir / "rdi.csv")
+    _write_metrics(fronts_by_dataset, normalize_igd, out_dir)
     return out_dir
 
 

@@ -15,10 +15,11 @@ Schema problems raise FormatError naming the offending field or element.
 from __future__ import annotations
 
 import json
+import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
-from .model import Edge, Resource, ResourceCatalog, Task, Workflow, WorkflowSet, ensure_valid
+from .model import Edge, Resource, ResourceCatalog, Task, Workflow, WorkflowSet, validate
 
 DEFAULT_CPU_CAPACITIES = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 DEFAULT_BANDWIDTH = 10.0
@@ -43,6 +44,8 @@ def _number(mapping, key, where, minimum=None, strict=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{where}.{key}: expected a number, got {value!r}")
     value = float(value)
+    if not math.isfinite(value):
+        raise FormatError(f"{where}.{key}: must be finite, got {value}")
     if minimum is not None:
         if strict and not value > minimum:
             raise FormatError(f"{where}.{key}: must be > {minimum}, got {value}")
@@ -96,8 +99,6 @@ def workflow_set_from_dict(doc: dict, where: str = "document") -> WorkflowSet:
             edges.append(Edge(src, dst, _number(edoc, "data_size", ewhere, minimum=0.0)))
         workflows.append(Workflow(wid, tasks, edges))
     ws = WorkflowSet(workflows)
-    from .model import validate
-
     violations = validate(ws)
     if violations:
         raise FormatError(f"{where}: " + "; ".join(violations))
@@ -193,6 +194,16 @@ def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
+def _dax_number(text: str, what: str, path: Path, jid: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise FormatError(f"{path}: job {jid!r} has {what} {text!r}, not a finite number")
+    return value
+
+
 def load_dax(path, id_prefix: str = "") -> Workflow:
     """Read one workflow from a Pegasus DAX file.
 
@@ -227,10 +238,7 @@ def load_dax(path, id_prefix: str = "") -> Workflow:
         runtime = job.attrib.get("runtime")
         if runtime is None:
             raise FormatError(f"{path}: job {jid!r} has no runtime attribute")
-        try:
-            runtimes[jid] = float(runtime)
-        except ValueError:
-            raise FormatError(f"{path}: job {jid!r} has non-numeric runtime {runtime!r}") from None
+        runtimes[jid] = _dax_number(runtime, "runtime", path, jid)
         order.append(jid)
         outputs[jid] = {}
         inputs[jid] = {}
@@ -240,7 +248,7 @@ def load_dax(path, id_prefix: str = "") -> Workflow:
             fname = uses.attrib.get("file") or uses.attrib.get("name")
             if not fname:
                 continue
-            size = float(uses.attrib.get("size", 0.0))
+            size = _dax_number(uses.attrib.get("size", "0"), "file size", path, jid)
             link = uses.attrib.get("link")
             if link == "output":
                 outputs[jid][fname] = outputs[jid].get(fname, 0.0) + size
@@ -265,8 +273,6 @@ def load_dax(path, id_prefix: str = "") -> Workflow:
 
     tasks = [Task(jid, wid, runtimes[jid]) for jid in order]
     w = Workflow(wid, tasks, edges)
-    from .model import validate
-
     violations = validate(WorkflowSet([w]))
     if violations:
         raise FormatError(f"{path}: " + "; ".join(violations))

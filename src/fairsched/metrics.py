@@ -16,9 +16,10 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from .nsga3 import nondominated_sort
 
 log = logging.getLogger(__name__)
 
@@ -30,13 +31,7 @@ def pareto_filter(points: np.ndarray) -> np.ndarray:
     pts = np.unique(np.asarray(points, dtype=float), axis=0)
     if pts.size == 0:
         return pts.reshape(0, points.shape[1] if points.ndim == 2 else 0)
-    keep = []
-    for i in range(len(pts)):
-        le = (pts <= pts[i]).all(axis=1)
-        lt = (pts < pts[i]).any(axis=1)
-        if not np.any(le & lt):
-            keep.append(i)
-    return pts[keep]
+    return pts[nondominated_sort(pts)[0]]
 
 
 def union_reference(fronts) -> np.ndarray:
@@ -80,7 +75,10 @@ class NormalizedFront:
 
 def normalized_reference(fronts) -> NormalizedFront:
     """Union reference front normalized by its own bounds."""
-    ref = union_reference(fronts)
+    return _self_normalized(union_reference(fronts))
+
+
+def _self_normalized(ref: np.ndarray) -> NormalizedFront:
     bounds = norm_bounds(ref)
     return NormalizedFront(normalize(ref, bounds), bounds)
 
@@ -191,8 +189,8 @@ def score_fronts(
     reference. Bounds are never mixed across datasets: callers score each
     dataset separately."""
     all_fronts = [f for runs in fronts_by_algorithm.values() for f in runs]
-    reference = normalized_reference(all_fronts)
     ref_pts_raw = union_reference(all_fronts)
+    reference = _self_normalized(ref_pts_raw)
     scores: list[RunScore] = []
     for algorithm in fronts_by_algorithm:
         for rep, front in enumerate(fronts_by_algorithm[algorithm]):

@@ -16,6 +16,7 @@ result (unknown ids, cycles in a topological sort), which raise
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 
@@ -67,8 +68,8 @@ class ResourceCatalog:
             seen.add(r.id)
             for field in ("cpu_capacity", "bandwidth", "cost_per_interval", "billing_interval"):
                 value = getattr(r, field)
-                if not value > 0:
-                    raise ValueError(f"resource {r.id!r}: {field} must be > 0, got {value!r}")
+                if not 0 < value < math.inf:
+                    raise ValueError(f"resource {r.id!r}: {field} must be finite and > 0, got {value!r}")
 
     def __len__(self) -> int:
         return len(self.resources)
@@ -218,7 +219,7 @@ def validate(ws: WorkflowSet) -> list[str]:
 
     An empty list means the set is well formed: unique workflow ids, task
     ids unique across the whole set, edge endpoints present in the same
-    workflow, no self-loops or duplicate edges, non-negative weights, and
+    workflow, no self-loops or duplicate edges, finite non-negative weights, and
     acyclic workflows.
     """
     violations: list[str] = []
@@ -234,8 +235,8 @@ def validate(ws: WorkflowSet) -> list[str]:
             seen_task.add(t.id)
             if t.workflow_id != w.id:
                 violations.append(f"task {t.id!r} carries workflow_id {t.workflow_id!r} inside workflow {w.id!r}")
-            if t.workload < 0:
-                violations.append(f"task {t.id!r} has negative workload {t.workload!r}")
+            if not 0 <= t.workload < math.inf:
+                violations.append(f"task {t.id!r} has non-finite or negative workload {t.workload!r}")
         seen_edges: set[tuple[str, str]] = set()
         for e in w.edges:
             if e.src == e.dst:
@@ -248,8 +249,10 @@ def validate(ws: WorkflowSet) -> list[str]:
             if (e.src, e.dst) in seen_edges:
                 violations.append(f"workflow {w.id!r}: duplicate edge {e.src!r} -> {e.dst!r}")
             seen_edges.add((e.src, e.dst))
-            if e.data_size < 0:
-                violations.append(f"workflow {w.id!r}: edge {e.src!r} -> {e.dst!r} has negative data size {e.data_size!r}")
+            if not 0 <= e.data_size < math.inf:
+                violations.append(
+                    f"workflow {w.id!r}: edge {e.src!r} -> {e.dst!r} has non-finite or negative data size {e.data_size!r}"
+                )
         try:
             w.topological_order()
         except GraphError as exc:

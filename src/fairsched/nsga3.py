@@ -22,9 +22,8 @@ front bit for bit, independent of the process hash salt.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 
@@ -62,7 +61,6 @@ class Individual:
     assignment: np.ndarray
     objectives: np.ndarray
     rank: int = -1
-    niche: int = -1
     niche_count: int = 0
 
     def genes_tuple(self) -> tuple[int, ...]:
@@ -262,7 +260,6 @@ def _select_survivors(pool: list[Individual], k: int, refs: np.ndarray, rng) -> 
     niche_of, _ = _associate(norm, refs)
     counts = np.bincount(niche_of, minlength=len(refs))
     for ind, niche in zip(survivors, niche_of):
-        ind.niche = int(niche)
         ind.niche_count = int(counts[niche])
     return survivors
 
@@ -290,7 +287,6 @@ def run(
     baselines: Baselines | None = None,
 ) -> Front:
     """Full optimization run; returns the final nondominated front."""
-    cfg.validate()
     evaluator = Evaluator(ws, catalog, plan, order, baselines)
     return run_with_evaluator(evaluator, cfg)
 
@@ -325,11 +321,10 @@ def run_with_evaluator(evaluator: Evaluator, cfg: OptimizerConfig) -> Front:
             population + offspring, cfg.population, refs, _rng(cfg.seed, 3, gen)
         )
 
-    objs = np.array([ind.objectives for ind in population])
-    first = nondominated_sort(objs)[0]
+    # rank 0 is the first front: the last selection kept pool level 0 whole or alone
     unique: dict[tuple[int, ...], Individual] = {}
-    for i in first:
-        ind = population[int(i)]
-        unique.setdefault(ind.genes_tuple(), ind)
+    for ind in population:
+        if ind.rank == 0:
+            unique.setdefault(ind.genes_tuple(), ind)
     ordered = sorted(unique.values(), key=lambda ind: (tuple(ind.objectives), ind.genes_tuple()))
     return Front(tuple(ordered))

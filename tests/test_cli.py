@@ -124,6 +124,28 @@ def test_run_missing_config_exit_2(tmp_path, capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
+def test_run_non_finite_inputs_exit_2(tmp_path, capsys):
+    nan_set = tmp_path / "nan_set.json"
+    nan_set.write_text(
+        '{"workflows": [{"id": "w", "tasks": [{"id": "a", "workload": 1}, {"id": "b", "workload": 1}],'
+        ' "edges": [{"src": "a", "dst": "b", "data_size": NaN}]}]}'
+    )
+    inf_catalog = tmp_path / "inf_resources.json"
+    inf_catalog.write_text(
+        '{"resources": [{"id": "r0", "cpu": Infinity, "bandwidth": 1, "cost_per_interval": 1, "billing_interval": 1}]}'
+    )
+    cases = {
+        "data_size": {"datasets": [{"name": "n", "path": str(nan_set)}]},
+        "cpu": {"resources": str(inf_catalog)},
+    }
+    for field, overrides in cases.items():
+        cfg = write_config(tmp_path / "config.json", tmp_path / field, **overrides)
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}: must be finite" in err
+        assert "Traceback" not in err
+
+
 def test_eval_missing_runs_exit_2(tmp_path, capsys):
     assert main(["eval", "--runs", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err

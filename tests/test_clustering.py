@@ -6,8 +6,6 @@ import pytest
 from fairsched.clustering import (
     CLUSTERERS,
     ClusterPlan,
-    avg_comm_time,
-    avg_exec_time,
     cluster_dfs_cst,
     cluster_mdnc,
     cluster_none,
@@ -33,19 +31,39 @@ def triple_catalog():
 
 
 def test_avg_exec_time_means_the_times():
+    # a lone task's upward rank is its average execution time
     cat = triple_catalog()
-    t = Task("a", "w", 60.0)
+    rank = upward_rank(Workflow("w", [Task("a", "w", 60.0)], []), cat)
     # (60/1 + 60/2 + 60/4) / 3 = (60 + 30 + 15) / 3 = 35
-    assert avg_exec_time(t, cat) == pytest.approx(35.0, abs=1e-12)
-    assert avg_exec_time(Task("z", "w", 0.0), cat) == 0.0
+    assert rank["a"] == pytest.approx(35.0, abs=1e-12)
+    assert upward_rank(Workflow("w", [Task("z", "w", 0.0)], []), cat)["z"] == 0.0
     # the same workload over mean capacity would give 60 / (7/3) != 35
-    assert avg_exec_time(t, cat) != pytest.approx(60.0 / ((1 + 2 + 4) / 3))
+    assert rank["a"] != pytest.approx(60.0 / ((1 + 2 + 4) / 3))
 
 
 def test_avg_comm_time_divides_by_mean_bandwidth():
+    # with zero workloads the entry's upward rank is the edge's average comm time
     cat = triple_catalog()
-    assert avg_comm_time(90.0, cat) == pytest.approx(6.0, abs=1e-12)  # 90 / 15
-    assert avg_comm_time(0.0, cat) == 0.0
+
+    def comm(data_size):
+        w = Workflow("w", [Task("a", "w", 0.0), Task("b", "w", 0.0)], [Edge("a", "b", data_size)])
+        return upward_rank(w, cat)["a"]
+
+    assert comm(90.0) == pytest.approx(6.0, abs=1e-12)  # 90 / 15
+    assert comm(0.0) == 0.0
+
+
+def test_upward_rank_diamond_on_heterogeneous_catalog(diamond):
+    # avg exec = workload * mean(1 / capacity) = workload * 7/12, the mean of
+    # the per-resource times (workload over the mean capacity would give
+    # workload * 3/7); avg comm = data_size / mean bandwidth = data_size / 15
+    # (the mean of the per-resource transfer times would give x 13/180)
+    rank = upward_rank(diamond, triple_catalog())
+    d = 7 / 6  # 2 * 7/12
+    b = 113 / 30  # 4 * 7/12 + 4/15 + d
+    c = 187 / 30  # 8 * 7/12 + 6/15 + d
+    a = 121 / 15  # 2 * 7/12 + 10/15 + c, the c branch being longer
+    assert rank == pytest.approx({"a": a, "b": b, "c": c, "d": d}, abs=1e-12)
 
 
 def test_upward_rank_diamond(diamond, unit_catalog):

@@ -9,7 +9,6 @@ import pytest
 
 from fairsched.clustering import cluster_none, make_plan, order_interleave, CLUSTERERS
 from fairsched.evaluation import (
-    Assignment,
     Evaluator,
     cheapest_alone,
     comm_time,
@@ -266,8 +265,8 @@ def test_evaluator_rejects_bad_assignments(two_chain_set, pair_catalog):
         ev.objectives([0, 0])
     with pytest.raises(ValueError, match="out of range"):
         ev.objectives([0, 0, 0, 5])
-    # Assignment wrapper is accepted
-    ev.objectives(Assignment((0, 0, 0, 0)))
+    # tuples are accepted
+    ev.objectives((0, 0, 0, 0))
     # numpy vectors are accepted
     ev.objectives(np.zeros(4, dtype=int))
 

@@ -54,6 +54,24 @@ def test_native_negative_workload_rejected():
         workflow_set_from_dict(doc)
 
 
+def test_native_non_finite_edge_rejected(tmp_path):
+    # json accepts NaN; the decoder would then drop the edge silently
+    doc = {
+        "workflows": [
+            {
+                "id": "w",
+                "tasks": [{"id": "a", "workload": 1.0}, {"id": "b", "workload": 1.0}],
+                "edges": [{"src": "a", "dst": "b", "data_size": float("nan")}],
+            }
+        ]
+    }
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert "NaN" in path.read_text()
+    with pytest.raises(FormatError, match=r"edges\[0\]\.data_size: must be finite"):
+        load_native(path)
+
+
 def test_native_unknown_edge_endpoint_rejected():
     doc = {
         "workflows": [
@@ -98,6 +116,9 @@ def test_resources_field_checks(tmp_path):
     path.write_text(json.dumps({"resources": []}))
     with pytest.raises(FormatError):
         load_resources(path)
+    path.write_text('{"resources": [{"id": "r0", "cpu": Infinity, "bandwidth": 1, "cost_per_interval": 1, "billing_interval": 1}]}')
+    with pytest.raises(FormatError, match="cpu: must be finite"):
+        load_resources(path)
 
 
 def test_default_catalog_shape():
@@ -141,6 +162,14 @@ def test_load_dax_missing_runtime(tmp_path):
     p = tmp_path / "bad.dax"
     p.write_text('<adag name="x"><job id="a"/></adag>')
     with pytest.raises(FormatError, match="runtime"):
+        load_dax(p)
+
+
+@pytest.mark.parametrize("size", ["12kB", "inf", "nan"])
+def test_load_dax_bad_file_size(tmp_path, size):
+    p = tmp_path / "bad.dax"
+    p.write_text(f'<adag name="x"><job id="a" runtime="1"><uses file="f" link="output" size="{size}"/></job></adag>')
+    with pytest.raises(FormatError, match=rf"bad\.dax: job 'a' has file size '{size}', not a finite number"):
         load_dax(p)
 
 

@@ -102,6 +102,18 @@ def test_validate_reports_problems():
         ensure_valid(WorkflowSet([w1]))
 
 
+def test_validate_rejects_non_finite_weights():
+    w = Workflow(
+        "w",
+        [Task("a", "w", 1.0), Task("b", "w", float("inf"))],
+        [Edge("a", "b", float("nan"))],
+    )
+    violations = validate(WorkflowSet([w]))
+    assert len(violations) == 2
+    assert "non-finite or negative workload inf" in violations[0]
+    assert "non-finite or negative data size nan" in violations[1]
+
+
 def test_validate_random_workflows_clean():
     rng = np.random.default_rng(11)
     for _ in range(40):
@@ -138,6 +150,9 @@ def test_catalog_validation():
         ResourceCatalog((Resource("r1", 0.0, 1.0, 1.0, 1.0),))
     with pytest.raises(ValueError):
         ResourceCatalog((Resource("r1", 1.0, -1.0, 1.0, 1.0),))
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            ResourceCatalog((Resource("r1", 1.0, 1.0, bad, 1.0),))
 
 
 def test_workflow_set_lookup(two_chain_set):
