@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="recompute metrics from stored run records")
     p_eval.add_argument("--runs", required=True, help="runs/ directory of a previous experiment")
     p_eval.add_argument("--out", required=True, help="directory for the metric CSVs")
-    p_eval.add_argument("--raw-igd", action="store_true", help="IGD on raw instead of normalized objectives")
+    p_eval.add_argument("--raw-igd", action="store_true", help="IGD on raw objectives (default: the run's config.json setting, else normalized)")
     p_eval.add_argument("--quiet", action="store_true")
 
     p_replay = sub.add_parser("replay", help="re-run a stored run record and verify it reproduces")
@@ -104,7 +104,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    out = experiment.score_stored_runs(args.runs, args.out, normalize_igd=not args.raw_igd)
+    out = experiment.score_stored_runs(args.runs, args.out, normalize_igd=False if args.raw_igd else None)
     print(out)
     return 0
 

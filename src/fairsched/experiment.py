@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -37,6 +38,32 @@ log = logging.getLogger(__name__)
 
 class ConfigError(Exception):
     """The experiment configuration is unusable."""
+
+
+def _integer(value, name: str) -> int:
+    """An integral JSON number; bools and strings are refused, not cast."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _optimizer_from_dict(doc) -> OptimizerConfig:
+    """Optimizer settings of a config or run record; omitted fields take the
+    OptimizerConfig defaults, given ones must have the type of their default."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"optimizer must be a JSON object, got {doc!r}")
+    defaults = asdict(OptimizerConfig())
+    unknown = sorted(set(doc) - set(defaults))
+    if unknown:
+        raise ConfigError(f"optimizer: unknown field(s) {', '.join(unknown)}")
+    parse = {int: _integer, float: _real}
+    return OptimizerConfig(**{k: parse[type(v)](doc.get(k, v), f"optimizer.{k}") for k, v in defaults.items()})
 
 
 @dataclass(frozen=True)
@@ -67,19 +94,24 @@ class DatasetSpec:
 
     @classmethod
     def from_dict(cls, doc: dict, master_seed: int = 0) -> "DatasetSpec":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"dataset entries must be JSON objects, got {doc!r}")
         name = doc.get("name")
-        if not name:
-            raise ConfigError("dataset entry without a name")
+        if not name or not isinstance(name, str):
+            raise ConfigError(f"dataset entry needs a name string, got {doc!r}")
         if "path" in doc:
+            if not isinstance(doc["path"], str):
+                raise ConfigError(f"dataset {name!r}: path must be a string, got {doc['path']!r}")
             return cls(name=name, path=doc["path"])
+        where = f"dataset {name!r}"
         try:
             lo, hi = doc["task_count_range"]
             spec = GeneratorSpec(
-                n_workflows=int(doc["n_workflows"]),
-                task_count_range=(int(lo), int(hi)),
-                ccr=float(doc["ccr"]),
-                parallelism_degree=float(doc["parallelism_degree"]),
-                seed=int(doc.get("seed", stable_seed(master_seed, "dataset", name))),
+                n_workflows=_integer(doc["n_workflows"], f"{where}: n_workflows"),
+                task_count_range=(_integer(lo, f"{where}: task_count_range"), _integer(hi, f"{where}: task_count_range")),
+                ccr=_real(doc["ccr"], f"{where}: ccr"),
+                parallelism_degree=_real(doc["parallelism_degree"], f"{where}: parallelism_degree"),
+                seed=_integer(doc.get("seed", stable_seed(master_seed, "dataset", name)), f"{where}: seed"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"dataset {name!r}: bad generator fields ({exc})") from exc
@@ -135,13 +167,17 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
-        seed = int(doc.get("seed", 0))
-        opt_doc = doc.get("optimizer", {})
-        try:  # each field cast to the type of its OptimizerConfig default
-            defaults = asdict(OptimizerConfig())
-            optimizer = OptimizerConfig(**{k: type(v)(opt_doc.get(k, v)) for k, v in defaults.items()})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad optimizer fields: {exc}") from exc
+        seed = _integer(doc.get("seed", 0), "seed")
+        optimizer = _optimizer_from_dict(doc.get("optimizer", {}))
+        clusterers = doc.get("clusterers", ["dfs-cst", "p2p", "mdnc"])
+        if not isinstance(clusterers, list) or not all(isinstance(c, str) for c in clusterers):
+            raise ConfigError(f"clusterers must be a list of names, got {clusterers!r}")
+        resources = doc.get("resources")
+        if resources is not None and not isinstance(resources, str):
+            raise ConfigError(f"resources must be a file path, got {resources!r}")
+        normalize_igd = doc.get("normalize_igd", True)
+        if not isinstance(normalize_igd, bool):
+            raise ConfigError(f"normalize_igd must be true or false, got {normalize_igd!r}")
         raw_datasets = doc.get("datasets")
         if raw_datasets == "table2":
             datasets = tuple(
@@ -153,13 +189,13 @@ class ExperimentConfig:
             raise ConfigError("config needs a 'datasets' list (or the string \"table2\")")
         return cls(
             datasets=datasets,
-            clusterers=tuple(doc.get("clusterers", ("dfs-cst", "p2p", "mdnc"))),
+            clusterers=tuple(clusterers),
             optimizer=optimizer,
-            repetitions=int(doc.get("repetitions", 10)),
+            repetitions=_integer(doc.get("repetitions", 10), "repetitions"),
             seed=seed,
             output_dir=str(doc.get("output_dir", "results")),
-            resources_path=doc.get("resources"),
-            normalize_igd=bool(doc.get("normalize_igd", True)),
+            resources_path=resources,
+            normalize_igd=normalize_igd,
         )
 
 
@@ -219,7 +255,7 @@ def load_record(path) -> RunRecord:
         clusterer=doc["clusterer"],
         repetition=int(doc["repetition"]),
         seed=int(doc["seed"]),
-        optimizer=OptimizerConfig(**doc["optimizer"]),
+        optimizer=_optimizer_from_dict(doc["optimizer"]),
         catalog=wio.resources_from_dict(doc["resources"], where=str(path)),
         front=_front_from_dict(doc["front"]),
     )
@@ -320,14 +356,17 @@ def _subdirs(parent: Path, config_order) -> list[Path]:
     return sorted((p for p in parent.iterdir() if p.is_dir()), key=lambda p: (pos.get(p.name, len(pos)), p.name))
 
 
-def score_stored_runs(runs_dir, out_dir, normalize_igd: bool = True) -> Path:
+def score_stored_runs(runs_dir, out_dir, normalize_igd: bool | None = None) -> Path:
     """Recompute every metric CSV from stored run records (the `eval` verb),
-    in the row order of the config.json that `run` writes beside runs/."""
+    in the row order and, unless `normalize_igd` is given, with the IGD
+    normalization of the config.json that `run` writes beside runs/."""
     runs_dir = Path(runs_dir)
     if not runs_dir.is_dir():
         raise ConfigError(f"runs directory {runs_dir} does not exist")
     config_path = runs_dir.parent / "config.json"
     cfg = load_config(config_path) if config_path.is_file() else None
+    if normalize_igd is None:
+        normalize_igd = cfg.normalize_igd if cfg else True
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     fronts_by_dataset: dict[str, dict[str, list[np.ndarray]]] = {}

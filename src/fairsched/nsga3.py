@@ -14,6 +14,12 @@ is split, the per-objective minimizers of the candidate pool are admitted
 first ("corner guard"). This makes elitism on every single objective
 unconditional, at the price of at most n_objectives niche picks.
 
+Selection state is passed as arrays, never stored on solutions: survivor
+selection returns the kept rows of the gene (P x n) and objective (P x 3)
+matrices with their nondomination rank and niche crowding, and the
+tournament draws row indices against those. A generation builds all its
+children before evaluating any.
+
 Determinism: every random decision draws from a generator derived from
 (seed, generation, slot), so reruns with one seed reproduce the exact
 front bit for bit, independent of the process hash salt.
@@ -56,12 +62,12 @@ class OptimizerConfig:
             raise ValueError(f"divisions must be >= 1, got {self.divisions}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Individual:
+    """A front member: its assignment and its objective vector."""
+
     assignment: np.ndarray
     objectives: np.ndarray
-    rank: int = -1
-    niche_count: int = 0
 
     def genes_tuple(self) -> tuple[int, ...]:
         return tuple(int(g) for g in self.assignment)
@@ -207,71 +213,63 @@ def niche_preserve(objectives: np.ndarray, levels: list[np.ndarray], k: int, ref
         li += 1
     if len(selected) == k:
         return selected
-    boundary = [int(i) for i in levels[li]]
-    considered = selected + boundary
-    norm = _normalize(objs[considered])
-    niche_of, dist = _associate(norm, refs)
-    counts = np.zeros(len(refs), dtype=int)
-    for pos in range(len(selected)):
-        counts[niche_of[pos]] += 1
-
-    boundary_pos = list(range(len(selected), len(considered)))
+    considered = selected + [int(i) for i in levels[li]]
+    niche_of, dist = _associate(_normalize(objs[considered]), refs)
+    is_open = np.arange(len(considered)) >= len(selected)  # boundary positions not yet chosen
     chosen: list[int] = []
     remaining = k - len(selected)
 
-    # corner guard: keep each objective's best point alive through the split
+    # corner guard: keep each objective's best point alive through the split;
+    # argmin takes the first minimum, so ties go to the smallest position
     for j in range(N_OBJECTIVES):
-        if len(chosen) >= remaining:
-            break
-        best_pos = min(range(len(considered)), key=lambda p: (objs[considered[p], j], p))
-        if best_pos in boundary_pos and best_pos not in chosen:
+        best_pos = int(np.argmin(objs[considered, j]))
+        if len(chosen) < remaining and is_open[best_pos]:
             chosen.append(best_pos)
-            counts[niche_of[best_pos]] += 1
+            is_open[best_pos] = False
 
+    counts = np.bincount(niche_of[~is_open], minlength=len(refs))
     active = np.ones(len(refs), dtype=bool)
-    candidates = [p for p in boundary_pos if p not in chosen]
     while len(chosen) < remaining:
         live = np.flatnonzero(active)
         min_count = counts[live].min()
         tied = live[counts[live] == min_count]
         niche = int(tied[rng.integers(0, len(tied))]) if len(tied) > 1 else int(tied[0])
-        members = [p for p in candidates if niche_of[p] == niche]
-        if not members:
+        members = np.flatnonzero(is_open & (niche_of == niche))
+        if not members.size:
             active[niche] = False
             continue
         if counts[niche] == 0:
-            pick = min(members, key=lambda p: (dist[p], p))
+            pick = int(members[np.argmin(dist[members])])
         else:
-            pick = members[int(rng.integers(0, len(members)))]
+            pick = int(members[rng.integers(0, len(members))])
         chosen.append(pick)
-        candidates.remove(pick)
+        is_open[pick] = False
         counts[niche] += 1
     return selected + [considered[p] for p in sorted(chosen)]
 
 
-def _select_survivors(pool: list[Individual], k: int, refs: np.ndarray, rng) -> list[Individual]:
-    objs = np.array([ind.objectives for ind in pool])
+def _select_survivors(objs: np.ndarray, k: int, refs: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Truncate a pool of objective rows to k. Returns (keep, rank, crowd):
+    the kept pool rows, their nondomination level in the pool, and how many
+    of the kept rows share their reference niche."""
     levels = nondominated_sort(objs)
+    rank = np.empty(len(objs), dtype=int)
     for li, level in enumerate(levels):
-        for i in level:
-            pool[int(i)].rank = li
-    survivors = [pool[i] for i in niche_preserve(objs, levels, k, refs, rng)]
-    norm = _normalize(np.array([ind.objectives for ind in survivors]))
-    niche_of, _ = _associate(norm, refs)
-    counts = np.bincount(niche_of, minlength=len(refs))
-    for ind, niche in zip(survivors, niche_of):
-        ind.niche_count = int(counts[niche])
-    return survivors
+        rank[level] = li
+    keep = np.array(niche_preserve(objs, levels, k, refs, rng))
+    niche_of, _ = _associate(_normalize(objs[keep]), refs)
+    crowd = np.bincount(niche_of, minlength=len(refs))[niche_of]
+    return keep, rank[keep], crowd
 
 
-def _tournament(pop: list[Individual], rng) -> Individual:
-    i, j = rng.integers(0, len(pop), size=2)
-    a, b = pop[int(i)], pop[int(j)]
-    if a.rank != b.rank:
-        return a if a.rank < b.rank else b
-    if a.niche_count != b.niche_count:
-        return a if a.niche_count < b.niche_count else b
-    return a if rng.random() < 0.5 else b
+def _tournament(rank: np.ndarray, crowd: np.ndarray, rng) -> int:
+    """Binary tournament over population rows: lower rank, then less crowded, then a coin."""
+    i, j = (int(x) for x in rng.integers(0, len(rank), size=2))
+    if rank[i] != rank[j]:
+        return i if rank[i] < rank[j] else j
+    if crowd[i] != crowd[j]:
+        return i if crowd[i] < crowd[j] else j
+    return i if rng.random() < 0.5 else j
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -293,38 +291,35 @@ def run(
 
 def run_with_evaluator(evaluator: Evaluator, cfg: OptimizerConfig) -> Front:
     cfg.validate()
-    n_genes = evaluator.n_clusters
     n_res = evaluator.n_resources
     refs = reference_directions(cfg.divisions)
 
-    init_rng = _rng(cfg.seed, 0)
-    genes = init_rng.integers(0, n_res, size=(cfg.population, n_genes))
-    population = [
-        Individual(genes[i], np.array(evaluator.objectives(genes[i]), dtype=float))
-        for i in range(cfg.population)
-    ]
-    population = _select_survivors(population, cfg.population, refs, _rng(cfg.seed, 1))
+    def evaluate(rows: np.ndarray) -> np.ndarray:
+        return np.array([evaluator.objectives(row) for row in rows], dtype=float)
+
+    genes = _rng(cfg.seed, 0).integers(0, n_res, size=(cfg.population, evaluator.n_clusters))
+    objs = evaluate(genes)
+    keep, rank, crowd = _select_survivors(objs, cfg.population, refs, _rng(cfg.seed, 1))
+    genes, objs = genes[keep], objs[keep]
 
     pairs = (cfg.population + 1) // 2
     for gen in range(cfg.generations):
-        offspring: list[Individual] = []
+        children = []
         for slot in range(pairs):
             rng = _rng(cfg.seed, 2, gen, slot)
-            pa = _tournament(population, rng)
-            pb = _tournament(population, rng)
-            ca, cb = crossover(pa.assignment, pb.assignment, rng, cfg.crossover_rate)
-            for child in (ca, cb):
-                child = mutate(child, rng, cfg.mutation_rate, n_res)
-                offspring.append(Individual(child, np.array(evaluator.objectives(child), dtype=float)))
-        offspring = offspring[: cfg.population]
-        population = _select_survivors(
-            population + offspring, cfg.population, refs, _rng(cfg.seed, 3, gen)
-        )
+            pa = _tournament(rank, crowd, rng)
+            pb = _tournament(rank, crowd, rng)
+            for child in crossover(genes[pa], genes[pb], rng, cfg.crossover_rate):
+                children.append(mutate(child, rng, cfg.mutation_rate, n_res))
+        children = np.array(children[: cfg.population])
+        genes = np.concatenate([genes, children])
+        objs = np.concatenate([objs, evaluate(children)])
+        keep, rank, crowd = _select_survivors(objs, cfg.population, refs, _rng(cfg.seed, 3, gen))
+        genes, objs = genes[keep], objs[keep]
 
     # rank 0 is the first front: the last selection kept pool level 0 whole or alone
-    unique: dict[tuple[int, ...], Individual] = {}
-    for ind in population:
-        if ind.rank == 0:
-            unique.setdefault(ind.genes_tuple(), ind)
-    ordered = sorted(unique.values(), key=lambda ind: (tuple(ind.objectives), ind.genes_tuple()))
-    return Front(tuple(ordered))
+    first: dict[tuple[int, ...], int] = {}
+    for i in np.flatnonzero(rank == 0):
+        first.setdefault(tuple(int(g) for g in genes[i]), int(i))
+    ordered = sorted(first.items(), key=lambda item: (tuple(objs[item[1]]), item[0]))
+    return Front(tuple(Individual(genes[i], objs[i]) for _, i in ordered))

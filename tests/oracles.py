@@ -3,7 +3,11 @@
 Nothing here shares code with the package's algorithms: the simulator is
 event-driven rather than a single decode walk, HEFT is re-derived from its
 textbook description, dominance filtering and IGD are plain double loops,
-and hypervolume is Monte Carlo. Deliberately slow and obvious.
+and hypervolume is Monte Carlo. Deliberately slow and obvious. The one
+exception is `niche_preserve_lists`, a frozen copy of the optimizer's
+earlier list-based survivor pick: it shares normalization and niche
+association with the package and pins the selection loop's picks and
+random draws.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import math
 import numpy as np
 
 from fairsched.model import Edge, Resource, ResourceCatalog, Task, Workflow, WorkflowSet
+from fairsched.nsga3 import N_OBJECTIVES, _associate, _normalize
 
 
 def _transfer(data_size, src: Resource, dst: Resource) -> float:
@@ -243,6 +248,66 @@ def mc_hypervolume(points, ref, n_samples: int, seed: int):
     box = float(np.prod(ref))
     sigma = box * math.sqrt(max(frac * (1 - frac), 1e-12) / n_samples)
     return frac * box, sigma
+
+
+# ---------------------------------------------------------------------------
+# survivor selection oracle
+
+
+def niche_preserve_lists(objectives, levels, k: int, refs, rng) -> list[int]:
+    """List-based reference-direction survivor pick: candidate lists,
+    per-niche list scans and keyed `min`s, with the draw order of the
+    optimizer's `niche_preserve`."""
+    objs = np.asarray(objectives, dtype=float)
+    total = sum(len(lv) for lv in levels)
+    if k > total:
+        raise ValueError(f"cannot select {k} from a pool of {total}")
+    selected: list[int] = []
+    li = 0
+    while li < len(levels) and len(selected) + len(levels[li]) <= k:
+        selected.extend(int(i) for i in levels[li])
+        li += 1
+    if len(selected) == k:
+        return selected
+    boundary = [int(i) for i in levels[li]]
+    considered = selected + boundary
+    norm = _normalize(objs[considered])
+    niche_of, dist = _associate(norm, refs)
+    counts = np.zeros(len(refs), dtype=int)
+    for pos in range(len(selected)):
+        counts[niche_of[pos]] += 1
+
+    boundary_pos = list(range(len(selected), len(considered)))
+    chosen: list[int] = []
+    remaining = k - len(selected)
+
+    for j in range(N_OBJECTIVES):
+        if len(chosen) >= remaining:
+            break
+        best_pos = min(range(len(considered)), key=lambda p: (objs[considered[p], j], p))
+        if best_pos in boundary_pos and best_pos not in chosen:
+            chosen.append(best_pos)
+            counts[niche_of[best_pos]] += 1
+
+    active = np.ones(len(refs), dtype=bool)
+    candidates = [p for p in boundary_pos if p not in chosen]
+    while len(chosen) < remaining:
+        live = np.flatnonzero(active)
+        min_count = counts[live].min()
+        tied = live[counts[live] == min_count]
+        niche = int(tied[rng.integers(0, len(tied))]) if len(tied) > 1 else int(tied[0])
+        members = [p for p in candidates if niche_of[p] == niche]
+        if not members:
+            active[niche] = False
+            continue
+        if counts[niche] == 0:
+            pick = min(members, key=lambda p: (dist[p], p))
+        else:
+            pick = members[int(rng.integers(0, len(members)))]
+        chosen.append(pick)
+        candidates.remove(pick)
+        counts[niche] += 1
+    return selected + [considered[p] for p in sorted(chosen)]
 
 
 # ---------------------------------------------------------------------------

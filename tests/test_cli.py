@@ -146,6 +146,74 @@ def test_run_non_finite_inputs_exit_2(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        ({"optimizer": []}, "optimizer must be a JSON object"),
+        ({"optimizer": {"population": 8.9}}, "optimizer.population must be an integer"),
+        ({"optimizer": {"population": True}}, "optimizer.population must be an integer"),
+        ({"optimizer": {"generations": "3"}}, "optimizer.generations must be an integer"),
+        ({"optimizer": {"mutation_rate": "0.1"}}, "optimizer.mutation_rate must be a number"),
+        ({"optimizer": {"populaton": 8}}, "optimizer: unknown field(s) populaton"),
+        ({"clusterers": "dfs-cst"}, "clusterers must be a list of names"),
+        ({"clusterers": ["dfs-cst", 3]}, "clusterers must be a list of names"),
+        ({"repetitions": 1.5}, "repetitions must be an integer"),
+        ({"seed": "1"}, "seed must be an integer"),
+        ({"normalize_igd": "false"}, "normalize_igd must be true or false"),
+        ({"resources": 5}, "resources must be a file path"),
+        ({"datasets": [5]}, "dataset entries must be JSON objects"),
+        ({"datasets": [{"name": 5, "path": "x.json"}]}, "dataset entry needs a name string"),
+        ({"datasets": [{"name": "p", "path": 7}]}, "dataset 'p': path must be a string"),
+        (
+            {"datasets": [{"name": "t", "n_workflows": 2.5, "task_count_range": [3, 4], "ccr": 0.5, "parallelism_degree": 0.5}]},
+            "dataset 't': n_workflows must be an integer",
+        ),
+        (
+            {"datasets": [{"name": "t", "n_workflows": 2, "task_count_range": [3, 4], "ccr": True, "parallelism_degree": 0.5}]},
+            "dataset 't': ccr must be a number",
+        ),
+    ],
+)
+def test_run_bad_config_shapes_exit_2(tmp_path, capsys, overrides, named):
+    cfg = write_config(tmp_path / "config.json", tmp_path / "results", **overrides)
+    assert main(["run", "--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize(
+    "optimizer, named",
+    [
+        ({"populaton": 6}, "optimizer: unknown field(s) populaton"),
+        ({"population": "6"}, "optimizer.population must be an integer"),
+        ("fast", "optimizer must be a JSON object"),
+    ],
+)
+def test_replay_bad_optimizer_block_exit_2(tmp_path, capsys, optimizer, named):
+    out_dir = tmp_path / "results"
+    main(["run", "--config", str(write_config(tmp_path / "config.json", out_dir)), "--quiet"])
+    record = out_dir / "runs" / "t" / "none" / "rep00.json"
+    doc = json.loads(record.read_text())
+    doc["optimizer"] = {**doc["optimizer"], **optimizer} if isinstance(optimizer, dict) else optimizer
+    record.write_text(json.dumps(doc))
+    assert main(["replay", "--record", str(record), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_eval_follows_config_normalize_igd(tmp_path):
+    out_dir = tmp_path / "results"
+    cfg = write_config(tmp_path / "config.json", out_dir, normalize_igd=False, repetitions=2)
+    assert main(["run", "--config", str(cfg), "--quiet"]) == 0
+    for flags, name in (([], "default"), (["--raw-igd"], "raw")):
+        assert main(["eval", "--runs", str(out_dir / "runs"), "--out", str(tmp_path / name), "--quiet", *flags]) == 0
+        for csv_name in ("t_runs.csv", "aggregate.csv"):
+            assert (tmp_path / name / csv_name).read_bytes() == (out_dir / "metrics" / csv_name).read_bytes()
+
+
 def test_eval_missing_runs_exit_2(tmp_path, capsys):
     assert main(["eval", "--runs", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err

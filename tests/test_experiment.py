@@ -218,13 +218,14 @@ def test_single_run_scores_zero_igd_against_itself(tmp_path):
 
 
 def test_score_stored_runs_reproduces_metrics(tmp_path):
-    cfg = tiny_config(tmp_path)
-    out = run_experiment(cfg)
-    rescored = score_stored_runs(out / "runs", tmp_path / "rescored")
-    for name in ("dsA_runs.csv", "dsB_runs.csv", "aggregate.csv", "rdi.csv"):
-        a = (out / "metrics" / name).read_bytes()
-        b = (rescored / name).read_bytes()
-        assert a == b, name
+    for normalize_igd in (True, False):
+        cfg = tiny_config(tmp_path / str(normalize_igd), normalize_igd=normalize_igd)
+        out = run_experiment(cfg)
+        rescored = score_stored_runs(out / "runs", tmp_path / f"rescored_{normalize_igd}")
+        for name in ("dsA_runs.csv", "dsB_runs.csv", "aggregate.csv", "rdi.csv"):
+            a = (out / "metrics" / name).read_bytes()
+            b = (rescored / name).read_bytes()
+            assert a == b, (name, normalize_igd)
 
 
 def test_score_stored_runs_requires_records(tmp_path):

@@ -11,7 +11,6 @@ from fairsched.evaluation import Evaluator
 from fairsched.model import Edge, ResourceCatalog, Resource, Task, Workflow, WorkflowSet
 from fairsched.nsga3 import (
     Front,
-    Individual,
     OptimizerConfig,
     _rng,
     _select_survivors,
@@ -21,8 +20,9 @@ from fairsched.nsga3 import (
     nondominated_sort,
     reference_directions,
     run,
+    run_with_evaluator,
 )
-from oracles import dominance_filter_naive
+from oracles import dominance_filter_naive, niche_preserve_lists
 
 
 def naive_sort_levels(points):
@@ -180,18 +180,50 @@ def test_niche_preserve_rejects_overdraw():
         niche_preserve(CORNERS, levels, 5, reference_directions(4), np.random.default_rng(0))
 
 
+def _selection_pools(rng):
+    """Pools with integer-grid ties, duplicated points, or continuous points."""
+    for trial in range(90):
+        n = int(rng.integers(1, 19))
+        kind = trial % 3
+        if kind == 0:
+            yield rng.integers(0, int(rng.integers(2, 5)), size=(n, 3)).astype(float)
+        elif kind == 1:
+            pts = rng.uniform(0, 1, size=(n, 3))
+            yield np.concatenate([pts, pts[rng.integers(0, n, size=int(rng.integers(1, 6)))]])
+        else:
+            yield rng.uniform(0, 10, size=(n, 3))
+
+
+def test_niche_preserve_matches_list_reference():
+    """Same picks and the same draws as the list-based oracle, for every k."""
+    rng = np.random.default_rng(2024)
+    level_counts = set()
+    for pool in _selection_pools(rng):
+        levels = nondominated_sort(pool)
+        level_counts.add(len(levels))
+        refs = reference_directions(int(rng.integers(1, 7)))
+        for k in range(1, len(pool) + 1):
+            ours, theirs = np.random.default_rng(k), np.random.default_rng(k)
+            expected = niche_preserve_lists(pool, levels, k, refs, theirs)
+            assert niche_preserve(pool, levels, k, refs, ours) == expected
+            assert ours.bit_generator.state == theirs.bit_generator.state
+    assert {1, 2, 3, 4, 5} <= level_counts
+
+
 def test_survivor_truncation_keeps_per_objective_best():
     refs = reference_directions(6)
     rng = np.random.default_rng(44)
     for trial in range(20):
         n = int(rng.integers(6, 30))
         objs = rng.uniform(0, 10, size=(n, 3))
-        pool = [Individual(np.array([i]), objs[i].copy()) for i in range(n)]
         k = int(rng.integers(3, n + 1))
-        survivors = _select_survivors(pool, k, refs, np.random.default_rng(trial))
-        kept = np.array([ind.objectives for ind in survivors])
+        keep, rank, crowd = _select_survivors(objs, k, refs, np.random.default_rng(trial))
+        kept = objs[keep]
         assert kept.shape == (k, 3)
         assert np.allclose(kept.min(axis=0), objs.min(axis=0))
+        levels = nondominated_sort(objs)
+        assert all(int(keep[r]) in levels[rank[r]] for r in range(k))
+        assert rank.shape == crowd.shape == (k,) and (crowd >= 1).all()
 
 
 def _tiny_problem():
@@ -256,6 +288,26 @@ def test_run_front_is_subset_of_exhaustive_pareto():
                 for q in all_objs.values()
             )
             assert not beaten, (ind.genes_tuple(), tuple(p))
+
+
+class _CountingEvaluator:
+    def __init__(self, inner):
+        self.inner = inner
+        self.n_clusters = inner.n_clusters
+        self.n_resources = inner.n_resources
+        self.calls = 0
+
+    def objectives(self, genes):
+        self.calls += 1
+        return self.inner.objectives(genes)
+
+
+def test_run_evaluates_population_once_per_generation():
+    """An odd population evaluates exactly its own size of children per
+    generation: the child that truncation drops is never decoded."""
+    counting = _CountingEvaluator(Evaluator(*_tiny_problem()))
+    run_with_evaluator(counting, OptimizerConfig(population=7, generations=3, seed=5))
+    assert counting.calls == 7 * 4
 
 
 def test_run_front_internally_nondominated():
