@@ -1,9 +1,11 @@
 """Schedule decoding and the time / cost / fairness model.
 
 A candidate solution assigns one resource type to every cluster. Decoding
-walks the global submission order once: each task starts at the later of
-its resource's availability (tasks on one resource run back to back in
-arrival order, no gap filling) and its data-ready time
+walks the global submission order once, for a whole population of
+candidates at a time (`Evaluator.objectives` on a gene matrix; `decode` is
+the one-candidate case): each task starts at the later of its resource's
+availability (tasks on one resource run back to back in arrival order, no
+gap filling) and its data-ready time
 
     ready = max over predecessors p of FT(p) + transfer(p -> t),
 
@@ -37,6 +39,8 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .clustering import ClusterPlan, OrderedPlan, upward_rank
 from .model import Resource, ResourceCatalog, Task, Workflow, WorkflowSet
@@ -221,8 +225,13 @@ def compute_baselines(ws: WorkflowSet, catalog: ResourceCatalog) -> Baselines:
 class Evaluator:
     """Precomputed decoder for one (set, catalog, plan, order) context.
 
-    The optimizer calls objectives() thousands of times, so the walk uses
-    flat index arrays and plain Python lists only.
+    objectives() decodes a whole population at once: one walk over the
+    global order, each step a fixed number of numpy operations on vectors
+    with one entry per population row. The per-task tables it reads (exec
+    time and cost per resource, predecessor positions and data sizes, the
+    resource-pair bandwidth table) are built once here. Every float is
+    produced by the same operation, in the same order, as in a per-genome
+    walk, so results do not depend on how a population is batched.
     """
 
     def __init__(
@@ -244,33 +253,61 @@ class Evaluator:
 
         self._task_ids = list(order.order)
         index = {tid: i for i, tid in enumerate(self._task_ids)}
-        wf_index = {w.id: gi for gi, w in enumerate(ws.workflows)}
-        owner: dict[str, Workflow] = {}
-        for w in ws.workflows:
+        n = len(self._task_ids)
+
+        # Per task, by dispatch position: its predecessors as (position,
+        # cluster, data size) when it has one, so the walk reads single rows;
+        # several are gathered in one go from the flat arrays below, filled
+        # in after the loop.
+        wl = [0.0] * n
+        wf_of = [0] * n
+        cluster_of = [0] * n
+        pred_of: list = [None] * n
+        multi: list[tuple[int, int, int]] = []  # (task, first, end) in the flat arrays
+        pred_pos: list[int] = []
+        pred_size: list[float] = []
+        self._wf_rows = []
+        for g, w in enumerate(ws.workflows):
+            rows = []
             for t in w.tasks:
-                owner[t.id] = w
+                i = index[t.id]
+                rows.append(i)
+                wl[i] = t.workload
+                wf_of[i] = g
+                cluster_of[i] = plan.cluster_of(t.id)
+                preds = w.predecessors(t.id)
+                first = len(pred_pos)
+                for p in preds:
+                    pi = index[p]
+                    if pi >= i:
+                        raise ValueError(f"order is not topological: {p!r} comes after {t.id!r}")
+                    pred_pos.append(pi)
+                    pred_size.append(w.edge(p, t.id).data_size)
+                if len(preds) == 1:
+                    pred_of[i] = (pi, plan.cluster_of(preds[0]), pred_size[-1])
+                elif preds:
+                    multi.append((i, first, len(pred_pos)))
+            self._wf_rows.append(np.array(rows, dtype=np.intp))
 
-        self._wl: list[float] = []
-        self._wf_of: list[int] = []
-        self._cluster_of: list[int] = []
-        self._preds: list[list[tuple[int, float]]] = []
-        for tid in self._task_ids:
-            w = owner[tid]
-            self._wl.append(w.task(tid).workload)
-            self._wf_of.append(wf_index[w.id])
-            self._cluster_of.append(plan.cluster_of(tid))
-            plist = []
-            for p in w.predecessors(tid):
-                pi = index[p]
-                if pi >= index[tid]:
-                    raise ValueError(f"order is not topological: {p!r} comes after {tid!r}")
-                plist.append((pi, w.edge(p, tid).data_size))
-            self._preds.append(plist)
+        cu = np.array([r.cpu_capacity for r in catalog], dtype=float)
+        bw = np.array([r.bandwidth for r in catalog], dtype=float)
+        rate = np.array([r.cost_per_interval / r.billing_interval for r in catalog], dtype=float)
+        exec_tab = np.array(wl, dtype=float)[:, None] / cu  # [task, resource]
+        cost_tab = exec_tab * rate
+        # transfers run over the slower end; an infinite diagonal makes a
+        # same-resource transfer ds / inf = 0.0, and ft + 0.0 == ft
+        self._link = np.minimum.outer(bw, bw)
+        np.fill_diagonal(self._link, np.inf)
 
-        self._cu = [r.cpu_capacity for r in catalog]
-        self._bw = [r.bandwidth for r in catalog]
-        self._rate = [r.cost_per_interval / r.billing_interval for r in catalog]
-        self._n_wf = len(ws.workflows)
+        self._cluster_of = np.array(cluster_of, dtype=np.intp)
+        pos = np.array(pred_pos, dtype=np.intp)
+        pred_cluster = self._cluster_of[pos]
+        size = np.array(pred_size, dtype=float)[:, None]
+        for i, a, b in multi:
+            pred_of[i] = (pos[a:b], pred_cluster[a:b], size[a:b])
+        # one step per task: (cluster, workflow, predecessors, exec time and
+        # cost per resource)
+        self._steps = list(zip(cluster_of, wf_of, pred_of, exec_tab, cost_tab))
         self._heft = [self.baselines.heft_makespan[w.id] for w in ws.workflows]
         self._cheapest = [self.baselines.cheapest_cost[w.id] for w in ws.workflows]
 
@@ -282,82 +319,95 @@ class Evaluator:
     def n_resources(self) -> int:
         return len(self.catalog)
 
-    def _check_genes(self, genes) -> list[int]:
-        genes = genes.tolist() if hasattr(genes, "tolist") else list(genes)
-        if len(genes) != self.plan.n_clusters:
-            raise ValueError(f"assignment length {len(genes)} != cluster count {self.plan.n_clusters}")
-        n_res = len(self._cu)
-        for g in genes:
-            if not 0 <= g < n_res:
-                raise ValueError(f"resource index {g} out of range 0..{n_res - 1}")
-        return genes
+    def _check_genes(self, genes) -> np.ndarray:
+        """The genes as an integer array: one assignment vector, or a matrix
+        with one assignment per row."""
+        G = np.asarray(genes)
+        if G.ndim not in (1, 2):
+            raise ValueError(f"genes must be one assignment vector or a matrix of them, got {G.ndim} dimensions")
+        if G.shape[-1] != self.plan.n_clusters:
+            raise ValueError(f"assignment length {G.shape[-1]} != cluster count {self.plan.n_clusters}")
+        if G.size == 0:
+            return G.astype(np.intp)
+        if G.dtype.kind not in "iu":
+            raise ValueError(f"resource indices must be integers, got {G.dtype} values")
+        lo, hi = G.min(), G.max()
+        if lo < 0 or hi >= self.n_resources:
+            raise ValueError(f"resource index {lo if lo < 0 else hi} out of range 0..{self.n_resources - 1}")
+        return G.astype(np.intp, copy=False)
 
-    def _walk(self, genes: list[int]):
-        # hot path: locals only, one pass over the global order
-        wl = self._wl
-        wf_of = self._wf_of
-        cluster_of = self._cluster_of
-        preds = self._preds
-        cu = self._cu
-        bw = self._bw
-        rate = self._rate
-        n = len(wl)
-        st = [0.0] * n
-        ft = [0.0] * n
-        task_res = [0] * n
-        res_free = [0.0] * len(cu)
-        wf_finish = [0.0] * self._n_wf
-        wf_cost = [0.0] * self._n_wf
-        for i in range(n):
-            r = genes[cluster_of[i]]
-            ready = 0.0
-            my_bw = bw[r]
-            for p, ds in preds[i]:
-                pr = task_res[p]
-                if pr == r:
-                    arrival = ft[p]
-                else:
-                    pbw = bw[pr]
-                    arrival = ft[p] + ds / (pbw if pbw < my_bw else my_bw)
-                if arrival > ready:
-                    ready = arrival
-            free = res_free[r]
-            s = free if free > ready else ready
-            et = wl[i] / cu[r]
-            f = s + et
-            st[i] = s
-            ft[i] = f
-            task_res[i] = r
-            res_free[r] = f
-            g = wf_of[i]
-            wf_cost[g] += et * rate[r]
-            if f > wf_finish[g]:
-                wf_finish[g] = f
-        return st, ft, task_res, wf_finish, wf_cost
+    def _walk(self, G: np.ndarray, st: np.ndarray | None = None):
+        """Decode every row of G in one pass over the global order.
+
+        Returns the (n_tasks x P) finish times and each workflow's finish
+        time and cost, both (n_workflows x P); fills st, when given, with
+        the start times.
+        """
+        n_rows = len(G)
+        genes_of = G.T  # genes_of[c] holds cluster c's resource in every row
+        link = self._link
+        slot_base = np.arange(n_rows) * self.n_resources
+        res_free = np.zeros(n_rows * self.n_resources)  # [row, resource], flat
+        ft = np.empty((len(self._steps), n_rows))
+        wf_cost = np.zeros((len(self._heft), n_rows))
+        for i, (c, g, pred, exec_row, cost_row) in enumerate(self._steps):
+            r = genes_of[c]
+            slot = slot_base + r
+            s = res_free[slot]
+            if pred is not None:
+                p, pc, ds = pred
+                arrival = ft.take(p, axis=0) + ds / link[genes_of[pc], r]
+                if arrival.ndim == 2:
+                    arrival = arrival.max(axis=0)
+                np.maximum(s, arrival, out=s)
+            f = ft[i]
+            np.add(s, exec_row[r], out=f)
+            res_free[slot] = f
+            wf_cost[g] += cost_row[r]
+            if st is not None:
+                st[i] = s
+        wf_finish = np.array([ft[rows].max(axis=0, initial=0.0) for rows in self._wf_rows])
+        return ft, wf_finish, wf_cost
 
     def _losses(self, wf_finish, wf_cost) -> list[float]:
         heft = self._heft
         cheapest = self._cheapest
-        return [wf_finish[g] / heft[g] + wf_cost[g] / cheapest[g] for g in range(self._n_wf)]
+        return [wf_finish[g] / heft[g] + wf_cost[g] / cheapest[g] for g in range(len(heft))]
 
-    def objectives(self, genes) -> tuple[float, float, float]:
-        """(makespan, total cost, unfairness) of one assignment."""
-        genes = self._check_genes(genes)
-        _, ft, _, wf_finish, wf_cost = self._walk(genes)
-        return (max(ft), sum(wf_cost), unfairness(self._losses(wf_finish, wf_cost)))
+    def objectives(self, genes) -> tuple[float, float, float] | np.ndarray:
+        """(makespan, total cost, unfairness) of each assignment.
+
+        A (P x n_clusters) gene matrix gives a (P x 3) float array; a single
+        assignment vector gives one tuple.
+        """
+        G = self._check_genes(genes)
+        _, wf_finish, wf_cost = self._walk(np.atleast_2d(G))
+        rows = [
+            (max(f), sum(c), unfairness(self._losses(f, c)))
+            for f, c in zip(wf_finish.T.tolist(), wf_cost.T.tolist())
+        ]
+        if G.ndim == 1:
+            return rows[0]
+        return np.array(rows, dtype=float).reshape(len(rows), 3)
 
     def decode(self, genes) -> Schedule:
         """Full schedule of one assignment, placements and fairness included."""
-        genes = self._check_genes(genes)
-        st, ft, task_res, wf_finish, wf_cost = self._walk(genes)
+        G = self._check_genes(genes)
+        if G.ndim != 1:
+            raise ValueError("decode takes one assignment vector")
+        st = np.empty((len(self._steps), 1))
+        ft, wf_finish, wf_cost = self._walk(G[None, :], st)
+        wf_finish = wf_finish[:, 0].tolist()
+        wf_cost = wf_cost[:, 0].tolist()
         res_ids = [r.id for r in self.catalog]
         placements = {
-            tid: Placement(res_ids[task_res[i]], st[i], ft[i]) for i, tid in enumerate(self._task_ids)
+            tid: Placement(res_ids[r], s, f)
+            for tid, r, s, f in zip(self._task_ids, G[self._cluster_of].tolist(), st[:, 0].tolist(), ft[:, 0].tolist())
         }
         report = _loss_report(self.ws, wf_finish, wf_cost, self.baselines)
         return Schedule(
             placements=placements,
-            makespan=max(ft),
+            makespan=max(wf_finish),
             total_cost=sum(wf_cost),
             unfairness=report.unfairness,
             loss=report,

@@ -240,24 +240,53 @@ class RunRecord:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
-def _front_from_dict(doc: dict) -> Front:
-    individuals = tuple(
-        Individual(np.array(genes, dtype=int), np.array(objs, dtype=float))
-        for objs, genes in zip(doc["objectives"], doc["genes"])
-    )
-    return Front(individuals)
+def _front_rows(rows: list, kinds: str) -> np.ndarray | None:
+    """A front's rows as a 2-D array of one of the numpy dtype kinds, or None."""
+    try:
+        array = np.array(rows)
+    except ValueError:  # rows of unequal length
+        return None
+    return array if array.ndim == 2 and array.dtype.kind in kinds else None
+
+
+def _front_from_dict(doc, where: str) -> Front:
+    if not isinstance(doc, dict) or not all(isinstance(doc.get(k), list) for k in ("objectives", "genes")):
+        raise wio.FormatError(f"{where}: front must be an object with 'objectives' and 'genes' lists")
+    if len(doc["objectives"]) != len(doc["genes"]):
+        raise wio.FormatError(
+            f"{where}: front has {len(doc['objectives'])} objective rows but {len(doc['genes'])} gene rows"
+        )
+    if not doc["genes"]:
+        return Front()
+    objectives = _front_rows(doc["objectives"], "iuf")
+    if objectives is None or objectives.shape[1] != 3:
+        raise wio.FormatError(f"{where}: front objectives must be rows of 3 numbers")
+    genes = _front_rows(doc["genes"], "iu")
+    if genes is None:
+        raise wio.FormatError(f"{where}: front genes must be rows of integers of one length")
+    return Front(tuple(Individual(g, o) for g, o in zip(genes, objectives.astype(float))))
+
+
+_RECORD_FIELDS = ("dataset", "clusterer", "repetition", "seed", "optimizer", "resources", "front")
 
 
 def load_record(path) -> RunRecord:
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise wio.FormatError(f"{path}: a run record must be a JSON object")
+    missing = [k for k in _RECORD_FIELDS if k not in doc]
+    if missing:
+        raise wio.FormatError(f"{path}: run record lacks field(s) {', '.join(missing)}")
+    if not isinstance(doc["clusterer"], str):
+        raise wio.FormatError(f"{path}: clusterer must be a string, got {doc['clusterer']!r}")
     return RunRecord(
         dataset=DatasetSpec.from_dict(doc["dataset"]),
         clusterer=doc["clusterer"],
-        repetition=int(doc["repetition"]),
-        seed=int(doc["seed"]),
+        repetition=_integer(doc["repetition"], "repetition"),
+        seed=_integer(doc["seed"], "seed"),
         optimizer=_optimizer_from_dict(doc["optimizer"]),
         catalog=wio.resources_from_dict(doc["resources"], where=str(path)),
-        front=_front_from_dict(doc["front"]),
+        front=_front_from_dict(doc["front"], str(path)),
     )
 
 

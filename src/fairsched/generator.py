@@ -44,8 +44,8 @@ class GeneratorSpec:
             raise ValueError(f"n_workflows must be >= 1, got {self.n_workflows}")
         if not (1 <= lo <= hi):
             raise ValueError(f"task_count_range must satisfy 1 <= lo <= hi, got {self.task_count_range}")
-        if not self.ccr > 0:
-            raise ValueError(f"ccr must be > 0, got {self.ccr}")
+        if not (math.isfinite(self.ccr) and self.ccr > 0):
+            raise ValueError(f"ccr must be finite and > 0, got {self.ccr}")
         if not (0 < self.parallelism_degree <= 1):
             raise ValueError(f"parallelism_degree must be in (0, 1], got {self.parallelism_degree}")
 

@@ -18,7 +18,8 @@ Selection state is passed as arrays, never stored on solutions: survivor
 selection returns the kept rows of the gene (P x n) and objective (P x 3)
 matrices with their nondomination rank and niche crowding, and the
 tournament draws row indices against those. A generation builds all its
-children before evaluating any.
+children before evaluating any, then decodes them in one
+`Evaluator.objectives` call on the children's gene matrix.
 
 Determinism: every random decision draws from a generator derived from
 (seed, generation, slot), so reruns with one seed reproduce the exact
@@ -294,11 +295,8 @@ def run_with_evaluator(evaluator: Evaluator, cfg: OptimizerConfig) -> Front:
     n_res = evaluator.n_resources
     refs = reference_directions(cfg.divisions)
 
-    def evaluate(rows: np.ndarray) -> np.ndarray:
-        return np.array([evaluator.objectives(row) for row in rows], dtype=float)
-
     genes = _rng(cfg.seed, 0).integers(0, n_res, size=(cfg.population, evaluator.n_clusters))
-    objs = evaluate(genes)
+    objs = evaluator.objectives(genes)
     keep, rank, crowd = _select_survivors(objs, cfg.population, refs, _rng(cfg.seed, 1))
     genes, objs = genes[keep], objs[keep]
 
@@ -313,7 +311,7 @@ def run_with_evaluator(evaluator: Evaluator, cfg: OptimizerConfig) -> Front:
                 children.append(mutate(child, rng, cfg.mutation_rate, n_res))
         children = np.array(children[: cfg.population])
         genes = np.concatenate([genes, children])
-        objs = np.concatenate([objs, evaluate(children)])
+        objs = np.concatenate([objs, evaluator.objectives(children)])
         keep, rank, crowd = _select_survivors(objs, cfg.population, refs, _rng(cfg.seed, 3, gen))
         genes, objs = genes[keep], objs[keep]
 

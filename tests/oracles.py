@@ -3,11 +3,13 @@
 Nothing here shares code with the package's algorithms: the simulator is
 event-driven rather than a single decode walk, HEFT is re-derived from its
 textbook description, dominance filtering and IGD are plain double loops,
-and hypervolume is Monte Carlo. Deliberately slow and obvious. The one
-exception is `niche_preserve_lists`, a frozen copy of the optimizer's
-earlier list-based survivor pick: it shares normalization and niche
-association with the package and pins the selection loop's picks and
-random draws.
+and hypervolume is Monte Carlo. Deliberately slow and obvious. Two frozen
+copies of earlier package code pin bit-exact behaviour instead:
+`niche_preserve_lists`, the optimizer's list-based survivor pick (it
+shares normalization and niche association with the package and pins the
+selection loop's picks and random draws), and `ScalarWalk`, the decoder's
+per-genome walk over plain Python lists, which the population-vectorized
+decoder must match bit for bit.
 """
 
 from __future__ import annotations
@@ -308,6 +310,105 @@ def niche_preserve_lists(objectives, levels, k: int, refs, rng) -> list[int]:
         candidates.remove(pick)
         counts[niche] += 1
     return selected + [considered[p] for p in sorted(chosen)]
+
+
+# ---------------------------------------------------------------------------
+# scalar decode oracle
+
+
+class ScalarWalk:
+    """The decoder's per-genome walk over flat Python lists, one genome at a
+    time. Same index tables, float operations and operation order as the
+    package's `Evaluator` had before decoding became population-vectorized."""
+
+    def __init__(self, ws: WorkflowSet, catalog: ResourceCatalog, plan, order, baselines):
+        self.task_ids = list(order.order)
+        index = {tid: i for i, tid in enumerate(self.task_ids)}
+        wf_index = {w.id: gi for gi, w in enumerate(ws.workflows)}
+        owner: dict[str, Workflow] = {}
+        for w in ws.workflows:
+            for t in w.tasks:
+                owner[t.id] = w
+
+        self._wl: list[float] = []
+        self._wf_of: list[int] = []
+        self._cluster_of: list[int] = []
+        self._preds: list[list[tuple[int, float]]] = []
+        for tid in self.task_ids:
+            w = owner[tid]
+            self._wl.append(w.task(tid).workload)
+            self._wf_of.append(wf_index[w.id])
+            self._cluster_of.append(plan.cluster_of(tid))
+            plist = []
+            for p in w.predecessors(tid):
+                pi = index[p]
+                if pi >= index[tid]:
+                    raise ValueError(f"order is not topological: {p!r} comes after {tid!r}")
+                plist.append((pi, w.edge(p, tid).data_size))
+            self._preds.append(plist)
+
+        self._cu = [r.cpu_capacity for r in catalog]
+        self._bw = [r.bandwidth for r in catalog]
+        self._rate = [r.cost_per_interval / r.billing_interval for r in catalog]
+        self._n_wf = len(ws.workflows)
+        self._heft = [baselines.heft_makespan[w.id] for w in ws.workflows]
+        self._cheapest = [baselines.cheapest_cost[w.id] for w in ws.workflows]
+
+    def walk(self, genes: list[int]):
+        """(start, finish, resource index) per task in the global order, and
+        each workflow's finish time and cost."""
+        wl = self._wl
+        wf_of = self._wf_of
+        cluster_of = self._cluster_of
+        preds = self._preds
+        cu = self._cu
+        bw = self._bw
+        rate = self._rate
+        n = len(wl)
+        st = [0.0] * n
+        ft = [0.0] * n
+        task_res = [0] * n
+        res_free = [0.0] * len(cu)
+        wf_finish = [0.0] * self._n_wf
+        wf_cost = [0.0] * self._n_wf
+        for i in range(n):
+            r = genes[cluster_of[i]]
+            ready = 0.0
+            my_bw = bw[r]
+            for p, ds in preds[i]:
+                pr = task_res[p]
+                if pr == r:
+                    arrival = ft[p]
+                else:
+                    pbw = bw[pr]
+                    arrival = ft[p] + ds / (pbw if pbw < my_bw else my_bw)
+                if arrival > ready:
+                    ready = arrival
+            free = res_free[r]
+            s = free if free > ready else ready
+            et = wl[i] / cu[r]
+            f = s + et
+            st[i] = s
+            ft[i] = f
+            task_res[i] = r
+            res_free[r] = f
+            g = wf_of[i]
+            wf_cost[g] += et * rate[r]
+            if f > wf_finish[g]:
+                wf_finish[g] = f
+        return st, ft, task_res, wf_finish, wf_cost
+
+    def objectives(self, genes) -> tuple[float, float, float]:
+        """(makespan, total cost, unfairness) of one assignment."""
+        _, ft, _, wf_finish, wf_cost = self.walk([int(g) for g in genes])
+        losses = [wf_finish[g] / self._heft[g] + wf_cost[g] / self._cheapest[g] for g in range(self._n_wf)]
+        mean = sum(losses) / len(losses)
+        return (max(ft), sum(wf_cost), math.sqrt(sum((x - mean) ** 2 for x in losses) / len(losses)))
+
+    def placements(self, genes) -> dict[str, tuple[int, float, float]]:
+        """{task id: (resource index, start, finish)} of one assignment."""
+        st, ft, task_res, _, _ = self.walk([int(g) for g in genes])
+        return {tid: (task_res[i], st[i], ft[i]) for i, tid in enumerate(self.task_ids)}
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,10 @@ def test_run_non_finite_inputs_exit_2(tmp_path, capsys):
             {"datasets": [{"name": "t", "n_workflows": 2, "task_count_range": [3, 4], "ccr": True, "parallelism_degree": 0.5}]},
             "dataset 't': ccr must be a number",
         ),
+        (
+            {"datasets": [{"name": "t", "n_workflows": 2, "task_count_range": [3, 4], "ccr": float("inf"), "parallelism_degree": 0.5}]},
+            "dataset 't': ccr must be finite and > 0, got inf",
+        ),
     ],
 )
 def test_run_bad_config_shapes_exit_2(tmp_path, capsys, overrides, named):
@@ -198,6 +202,49 @@ def test_replay_bad_optimizer_block_exit_2(tmp_path, capsys, optimizer, named):
     doc = json.loads(record.read_text())
     doc["optimizer"] = {**doc["optimizer"], **optimizer} if isinstance(optimizer, dict) else optimizer
     record.write_text(json.dumps(doc))
+    assert main(["replay", "--record", str(record), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
+def _drop(field):
+    def edit(doc):
+        del doc[field]
+        return doc
+
+    return edit
+
+
+def _set_front(objectives, genes):
+    def edit(doc):
+        doc["front"] = {"objectives": objectives, "genes": genes}
+        return doc
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (_drop("clusterer"), "run record lacks field(s) clusterer"),
+        (_drop("front"), "run record lacks field(s) front"),
+        (lambda doc: [doc], "a run record must be a JSON object"),
+        (lambda doc: {**doc, "clusterer": ["none"]}, "clusterer must be a string"),
+        (lambda doc: {**doc, "repetition": "0"}, "repetition must be an integer"),
+        (lambda doc: {**doc, "front": []}, "front must be an object with 'objectives' and 'genes' lists"),
+        (_set_front([[1.0, 2.0, 3.0]], []), "front has 1 objective rows but 0 gene rows"),
+        (_set_front([[1.0, 2.0]], [[0]]), "front objectives must be rows of 3 numbers"),
+        (_set_front([[1.0, 2.0, "3"]], [[0]]), "front objectives must be rows of 3 numbers"),
+        (_set_front([[1.0, 2.0, 3.0]], [[0.5]]), "front genes must be rows of integers of one length"),
+        (_set_front([[1.0, 2.0, 3.0]] * 2, [[0, 1], [0]]), "front genes must be rows of integers of one length"),
+    ],
+)
+def test_replay_bad_record_schema_exit_2(tmp_path, capsys, edit, named):
+    out_dir = tmp_path / "results"
+    main(["run", "--config", str(write_config(tmp_path / "config.json", out_dir)), "--quiet"])
+    record = out_dir / "runs" / "t" / "none" / "rep00.json"
+    record.write_text(json.dumps(edit(json.loads(record.read_text()))))
     assert main(["replay", "--record", str(record), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert named in err

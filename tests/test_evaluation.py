@@ -21,8 +21,11 @@ from fairsched.evaluation import (
     unfairness,
     validate_schedule,
 )
-from fairsched.model import Edge, Resource, ResourceCatalog, Task, Workflow, WorkflowSet
+from fairsched.generator import GeneratorSpec, generate
+from fairsched.io import default_catalog
+from fairsched.model import Edge, Resource, ResourceCatalog, Task, Workflow, WorkflowSet, ensure_valid
 from oracles import (
+    ScalarWalk,
     event_sim,
     exhaustive_event_orders,
     heft_fixed_assignment_makespan,
@@ -263,12 +266,93 @@ def test_evaluator_rejects_bad_assignments(two_chain_set, pair_catalog):
     ev = Evaluator(two_chain_set, pair_catalog, plan, order)
     with pytest.raises(ValueError, match="length"):
         ev.objectives([0, 0])
+    with pytest.raises(ValueError, match="length"):
+        ev.objectives(np.zeros((3, 2), dtype=int))
     with pytest.raises(ValueError, match="out of range"):
         ev.objectives([0, 0, 0, 5])
-    # tuples are accepted
-    ev.objectives((0, 0, 0, 0))
-    # numpy vectors are accepted
-    ev.objectives(np.zeros(4, dtype=int))
+    with pytest.raises(ValueError, match="out of range"):
+        ev.objectives([[0, 0, 0, 0], [0, -1, 0, 0]])
+    for not_integers in ([0.5, 0, 0, 0], np.zeros(4), [True, False, True, False], [[0, 0, 0, 1.0]]):
+        with pytest.raises(ValueError, match="integers"):
+            ev.objectives(not_integers)
+    for bad_ndim in (np.int64(0), np.zeros((2, 1, 4), dtype=int)):
+        with pytest.raises(ValueError, match="dimensions"):
+            ev.objectives(bad_ndim)
+    with pytest.raises(ValueError, match="one assignment vector"):
+        ev.decode([[0, 0, 0, 0]])
+    # tuples and numpy vectors are accepted, and give one tuple
+    assert isinstance(ev.objectives((0, 0, 0, 0)), tuple)
+    assert ev.objectives(np.zeros(4, dtype=np.uint8)) == ev.objectives([0, 0, 0, 0])
+    # a matrix gives one row per assignment, an empty one none
+    both = ev.objectives([[0, 0, 0, 0], [1, 1, 1, 1]])
+    assert both.shape == (2, 3)
+    assert tuple(both[0]) == ev.objectives([0, 0, 0, 0])
+    assert ev.objectives(np.zeros((0, 4), dtype=int)).shape == (0, 3)
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("clusterer", sorted(CLUSTERERS))
+def test_batched_decode_matches_scalar_walk(clusterer):
+    """objectives() on a gene matrix, objectives() on one vector and
+    decode() reproduce the per-genome scalar walk bit for bit: every
+    objective, and every task's resource, start and finish."""
+    rng = np.random.default_rng(2024)
+    seen = {"one-task workflow": False, "transfer between unequal links": False, "one resource": False}
+    for trial in range(12):
+        n_res = (1, 2, 3, 5)[trial % 4]
+        ws = random_workflow_set(rng, int(rng.integers(1, 5)), n_lo=1, n_hi=9)
+        cat = random_catalog(rng, n_res)
+        plan = make_plan(ws, cat, clusterer)
+        order = order_interleave(plan, ws)
+        baselines = compute_baselines(ws, cat)
+        ev = Evaluator(ws, cat, plan, order, baselines)
+        ref = ScalarWalk(ws, cat, plan, order, baselines)
+        res_index = {r.id: ri for ri, r in enumerate(cat)}
+        seen["one-task workflow"] |= any(len(w.tasks) == 1 for w in ws.workflows)
+        seen["one resource"] |= n_res == 1
+        for n_rows in (1, 2, 7, 100):
+            genes = rng.integers(0, n_res, size=(n_rows, plan.n_clusters))
+            genes[n_rows // 2] = genes[0]  # a duplicated row
+            got = ev.objectives(genes)
+            assert got.shape == (n_rows, 3)
+            assert [_hex(row) for row in got] == [_hex(ref.objectives(row)) for row in genes]
+        for row in genes[:7]:
+            assert _hex(ev.objectives(row)) == _hex(ref.objectives(row))
+            sched = ev.decode(row)
+            assert _hex(sched.objectives) == _hex(ref.objectives(row))
+            placed = {
+                tid: (res_index[p.resource_id], p.start.hex(), p.finish.hex())
+                for tid, p in sched.placements.items()
+            }
+            want = {tid: (ri, s.hex(), f.hex()) for tid, (ri, s, f) in ref.placements(row).items()}
+            assert placed == want
+            for w in ws.workflows:
+                for e in w.edges:
+                    a, b = cat[want[e.src][0]], cat[want[e.dst][0]]
+                    seen["transfer between unequal links"] |= a.bandwidth != b.bandwidth and e.data_size > 0
+    assert all(seen.values()), seen
+
+
+def test_batched_decode_matches_scalar_walk_on_generated_sets():
+    """Generator-shaped sets (layered, many multi-predecessor tasks) on the
+    default uniform-bandwidth catalog and on a heterogeneous one. Twelve
+    workflows: numpy's pairwise summation can change the total cost's
+    last bit from eight terms on, so a sum outside task order shows."""
+    rng = np.random.default_rng(77)
+    ws = ensure_valid(generate(GeneratorSpec(12, (5, 25), 1000.0, 0.3, seed=11)))
+    for cat in (default_catalog(), random_catalog(rng, 4)):
+        for clusterer in ("dfs-cst", "none"):
+            plan = make_plan(ws, cat, clusterer)
+            order = order_interleave(plan, ws)
+            baselines = compute_baselines(ws, cat)
+            ev = Evaluator(ws, cat, plan, order, baselines)
+            ref = ScalarWalk(ws, cat, plan, order, baselines)
+            genes = rng.integers(0, len(cat), size=(30, plan.n_clusters))
+            got = ev.objectives(genes)
+            assert got.tobytes() == np.array([ref.objectives(row) for row in genes]).tobytes()
 
 
 def test_evaluator_rejects_non_topological_order(two_chain_set, pair_catalog):

@@ -32,6 +32,12 @@ def test_spec_validation():
     GeneratorSpec(1, (5, 10), 1.0, 1.0, 1).validate()
 
 
+@pytest.mark.parametrize("ccr", [math.inf, -math.inf, math.nan])
+def test_spec_rejects_non_finite_ccr(ccr):
+    with pytest.raises(ValueError, match="ccr must be finite and > 0"):
+        GeneratorSpec(1, (5, 10), ccr, 0.5, 1).validate()
+
+
 def test_determinism_bit_identical():
     spec = GeneratorSpec(5, (10, 20), 0.5, 0.3, seed=99)
     a = json.dumps(workflow_set_to_dict(generate(spec)), sort_keys=True)

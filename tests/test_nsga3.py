@@ -295,19 +295,21 @@ class _CountingEvaluator:
         self.inner = inner
         self.n_clusters = inner.n_clusters
         self.n_resources = inner.n_resources
-        self.calls = 0
+        self.rows: list[int] = []
 
     def objectives(self, genes):
-        self.calls += 1
+        self.rows.append(len(genes))
         return self.inner.objectives(genes)
 
 
 def test_run_evaluates_population_once_per_generation():
     """An odd population evaluates exactly its own size of children per
-    generation: the child that truncation drops is never decoded."""
+    generation, all in one call: the child that truncation drops is never
+    decoded."""
     counting = _CountingEvaluator(Evaluator(*_tiny_problem()))
     run_with_evaluator(counting, OptimizerConfig(population=7, generations=3, seed=5))
-    assert counting.calls == 7 * 4
+    assert counting.rows == [7] * 4
+    assert sum(counting.rows) == 7 * 4
 
 
 def test_run_front_internally_nondominated():
