@@ -150,7 +150,11 @@ class Schedule:
 
 
 def unfairness(losses) -> float:
-    """Population standard deviation (divisor N) of the loss values."""
+    """Population standard deviation (divisor N) of the loss values.
+
+    Deviations are squared with `x ** 2`, which calls the C library's
+    `pow`; it can differ from `x * x` in the last bit, so results are
+    bit-identical on one libm, not across platforms."""
     losses = list(losses)
     if not losses:
         raise ValueError("unfairness of an empty loss list")

@@ -31,7 +31,7 @@ def pareto_filter(points: np.ndarray) -> np.ndarray:
     pts = np.unique(np.asarray(points, dtype=float), axis=0)
     if pts.size == 0:
         return pts.reshape(0, points.shape[1] if points.ndim == 2 else 0)
-    return pts[nondominated_sort(pts)[0]]
+    return pts[nondominated_sort(pts, stop=1)[0]]
 
 
 def union_reference(fronts) -> np.ndarray:

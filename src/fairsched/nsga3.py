@@ -19,7 +19,9 @@ selection returns the kept rows of the gene (P x n) and objective (P x 3)
 matrices with their nondomination rank and niche crowding, and the
 tournament draws row indices against those. A generation builds all its
 children before evaluating any, then decodes them in one
-`Evaluator.objectives` call on the children's gene matrix.
+`Evaluator.objectives` call on the children's gene matrix. Truncation
+sorts with one n x n dominance matrix, stopping at the split level, and
+niches over Python lists of open members and count buckets of niches.
 
 Determinism: every random decision draws from a generator derived from
 (seed, generation, slot), so reruns with one seed reproduce the exact
@@ -29,6 +31,7 @@ front bit for bit, independent of the process hash salt.
 from __future__ import annotations
 
 import csv
+from bisect import insort
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -115,25 +118,30 @@ def reference_directions(divisions: int, n_obj: int = N_OBJECTIVES) -> np.ndarra
     return np.array(points, dtype=float) / divisions
 
 
-def nondominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
+def nondominated_sort(objectives: np.ndarray, stop: int | None = None) -> list[np.ndarray]:
     """Fast nondominated sort; returns index arrays per level, best first.
 
     Minimization everywhere: i dominates j when i <= j on every objective
-    and < on at least one.
+    and < on at least one, that is, when j is not also <= i on every one.
+    With `stop`, peeling ends once the returned levels hold at least `stop`
+    rows; they are the leading levels of the full sort.
     """
     objs = np.asarray(objectives, dtype=float)
     n = len(objs)
     if n == 0:
         return []
-    le = (objs[:, None, :] <= objs[None, :, :]).all(axis=2)
-    lt = (objs[:, None, :] < objs[None, :, :]).any(axis=2)
-    dominates = le & lt  # [i, j] True when i dominates j
+    le = np.ones((n, n), dtype=bool)  # [i, j] True when i <= j on every objective
+    for j in range(objs.shape[1]):
+        le &= objs[:, None, j] <= objs[None, :, j]
+    dominates = le & ~le.T  # [i, j] True when i dominates j
     dom_count = dominates.sum(axis=0)
     levels: list[np.ndarray] = []
     assigned = np.zeros(n, dtype=bool)
     current = np.flatnonzero(dom_count == 0)
-    while current.size:
+    covered, stop = 0, n if stop is None else stop
+    while current.size and covered < stop:
         levels.append(current)
+        covered += current.size
         assigned[current] = True
         dom_count = dom_count - dominates[current].sum(axis=0)
         current = np.flatnonzero((dom_count == 0) & ~assigned)
@@ -182,7 +190,8 @@ def _normalize(objs: np.ndarray) -> np.ndarray:
     intercepts = nadir_span.copy()
     try:
         plane = np.linalg.solve(extremes, np.ones(N_OBJECTIVES))
-        candidate = 1.0 / plane
+        with np.errstate(divide="ignore"):
+            candidate = 1.0 / plane
         if np.all(np.isfinite(candidate)) and np.all(candidate > 1e-12):
             intercepts = candidate
     except np.linalg.LinAlgError:
@@ -216,36 +225,46 @@ def niche_preserve(objectives: np.ndarray, levels: list[np.ndarray], k: int, ref
         return selected
     considered = selected + [int(i) for i in levels[li]]
     niche_of, dist = _associate(_normalize(objs[considered]), refs)
-    is_open = np.arange(len(considered)) >= len(selected)  # boundary positions not yet chosen
-    chosen: list[int] = []
+    chosen: list[int] = []  # boundary positions picked, in pick order
     remaining = k - len(selected)
 
     # corner guard: keep each objective's best point alive through the split;
     # argmin takes the first minimum, so ties go to the smallest position
     for j in range(N_OBJECTIVES):
         best_pos = int(np.argmin(objs[considered, j]))
-        if len(chosen) < remaining and is_open[best_pos]:
+        if len(chosen) < remaining and best_pos >= len(selected) and best_pos not in chosen:
             chosen.append(best_pos)
-            is_open[best_pos] = False
 
-    counts = np.bincount(niche_of[~is_open], minlength=len(refs))
-    active = np.ones(len(refs), dtype=bool)
-    while len(chosen) < remaining:
-        live = np.flatnonzero(active)
-        min_count = counts[live].min()
-        tied = live[counts[live] == min_count]
-        niche = int(tied[rng.integers(0, len(tied))]) if len(tied) > 1 else int(tied[0])
-        members = np.flatnonzero(is_open & (niche_of == niche))
-        if not members.size:
-            active[niche] = False
-            continue
-        if counts[niche] == 0:
-            pick = int(members[np.argmin(dist[members])])
+    # open positions per niche in ascending order, and every niche bucketed
+    # by its count of closed positions, ascending niche order in a bucket
+    dist = dist.tolist()
+    counts = [0] * len(refs)
+    open_at: list[list[int]] = [[] for _ in refs]
+    for pos, niche in enumerate(niche_of.tolist()):
+        if pos < len(selected) or pos in chosen:
+            counts[niche] += 1
         else:
-            pick = int(members[rng.integers(0, len(members))])
+            open_at[niche].append(pos)
+    buckets: dict[int, list[int]] = {}
+    for niche, count in enumerate(counts):
+        buckets.setdefault(count, []).append(niche)
+    low = 0  # the minimum count over live niches never decreases
+    while len(chosen) < remaining:
+        while not buckets.get(low):
+            low += 1
+        tied = buckets[low]
+        niche = tied[rng.integers(0, len(tied))] if len(tied) > 1 else tied[0]
+        tied.remove(niche)
+        members = open_at[niche]
+        if not members:
+            continue  # a niche with no open members leaves for good
+        if low == 0:
+            pick = min(members, key=dist.__getitem__)  # first minimum
+        else:
+            pick = members[rng.integers(0, len(members))]
+        members.remove(pick)
         chosen.append(pick)
-        is_open[pick] = False
-        counts[niche] += 1
+        insort(buckets.setdefault(low + 1, []), niche)
     return selected + [considered[p] for p in sorted(chosen)]
 
 
@@ -253,7 +272,7 @@ def _select_survivors(objs: np.ndarray, k: int, refs: np.ndarray, rng) -> tuple[
     """Truncate a pool of objective rows to k. Returns (keep, rank, crowd):
     the kept pool rows, their nondomination level in the pool, and how many
     of the kept rows share their reference niche."""
-    levels = nondominated_sort(objs)
+    levels = nondominated_sort(objs, stop=k)  # kept rows lie at or above the split level
     rank = np.empty(len(objs), dtype=int)
     for li, level in enumerate(levels):
         rank[level] = li

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import statistics
 
 import numpy as np
@@ -227,6 +228,20 @@ def test_unfairness_is_population_std():
         assert unfairness(losses) == pytest.approx(statistics.pstdev(losses), rel=1e-12)
     with pytest.raises(ValueError):
         unfairness([])
+
+
+def test_unfairness_squares_deviations_with_pow():
+    """Result bits hold per libm: deviations are squared with Python's
+    `x ** 2`, the C library's `pow`, which rounds differently from `x * x`
+    for some values. These losses tell the two apart, so a switch to
+    `d * d` (a versioned change of results) cannot pass silently."""
+    losses = [2.684, 2.999, 2.822]
+    mean = sum(losses) / len(losses)
+    with_pow = math.sqrt(sum(math.pow(x - mean, 2) for x in losses) / len(losses))
+    with_mul = math.sqrt(sum((x - mean) * (x - mean) for x in losses) / len(losses))
+    if with_pow == with_mul:
+        pytest.skip("this libm's pow squares these deviations exactly")
+    assert unfairness(losses) == with_pow != with_mul
 
 
 def test_loss_report_two_single_task_workflows(unit_catalog):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from fairsched.model import Edge, ResourceCatalog, Resource, Task, Workflow, Wor
 from fairsched.nsga3 import (
     Front,
     OptimizerConfig,
+    _normalize,
     _rng,
     _select_survivors,
     crossover,
@@ -78,6 +80,33 @@ def test_first_level_agrees_with_dominance_filter():
     first = nondominated_sort(pts)[0]
     expected = {tuple(p) for p in dominance_filter_naive(pts)}
     assert {tuple(pts[i]) for i in first} == expected
+
+
+def test_stopped_sort_returns_leading_levels():
+    """With `stop`, the sort returns the leading levels of the full sort,
+    and the fewest of them that cover at least `stop` rows."""
+    rng = np.random.default_rng(31)
+    for pool in _selection_pools(rng):
+        full = nondominated_sort(pool)
+        for stop in range(1, len(pool) + 1):
+            got = nondominated_sort(pool, stop=stop)
+            assert len(got) <= len(full)
+            assert all(np.array_equal(a, b) for a, b in zip(got, full))
+            sizes = [len(lv) for lv in got]
+            assert sum(sizes) >= stop > sum(sizes[:-1])
+
+
+def test_normalize_singular_plane_raises_no_warning():
+    """A singular extreme-point plane falls back to the nadir without
+    letting numpy's divide-by-zero warning escape."""
+    pool = np.array([[1, 2, 0], [0, 2, 2], [0, 0, 2], [1, 1, 0], [2, 1, 2], [2, 2, 0]], dtype=float)
+    refs = reference_directions(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(_normalize(pool)).all()
+        for k in range(1, len(pool) + 1):
+            keep, _, _ = _select_survivors(pool, k, refs, np.random.default_rng(k))
+            assert len(keep) == k
 
 
 class _ScriptedRng:
@@ -194,19 +223,41 @@ def _selection_pools(rng):
             yield rng.uniform(0, 10, size=(n, 3))
 
 
-def test_niche_preserve_matches_list_reference():
-    """Same picks and the same draws as the list-based oracle, for every k."""
-    rng = np.random.default_rng(2024)
-    level_counts = set()
+def _niching_cases(rng):
+    """(pool, refs, k): every k on small pools, then pools of population
+    plus children at divisions 12 (91 directions): 60 rows cut to 30, where
+    most niches hold nothing, and 184 cut to 92. The last kind is a
+    converged pool, one nondominated level, so niching picks all k."""
     for pool in _selection_pools(rng):
-        levels = nondominated_sort(pool)
-        level_counts.add(len(levels))
         refs = reference_directions(int(rng.integers(1, 7)))
         for k in range(1, len(pool) + 1):
-            ours, theirs = np.random.default_rng(k), np.random.default_rng(k)
-            expected = niche_preserve_lists(pool, levels, k, refs, theirs)
-            assert niche_preserve(pool, levels, k, refs, ours) == expected
-            assert ours.bit_generator.state == theirs.bit_generator.state
+            yield pool, refs, k
+    refs = reference_directions(12)
+    for n, k in ((60, 30), (184, 92)):
+        for trial in range(8):
+            if trial % 4 == 0:
+                pool = rng.integers(0, 6, size=(n, 3)).astype(float)
+            elif trial % 4 == 1:
+                pts = rng.uniform(0, 1, size=(n // 2, 3))
+                pool = np.concatenate([pts, pts[rng.integers(0, n // 2, size=n - n // 2)]])
+            elif trial % 4 == 2:
+                pool = rng.uniform(0, 1, size=(n, 3)) * [100.0, 10.0, 1.0]
+            else:
+                pool = rng.dirichlet(np.ones(3), size=n) * [100.0, 10.0, 1.0]
+            yield pool, refs, k
+
+
+def test_niche_preserve_matches_list_reference():
+    """Same picks and the same draws as the list-based oracle."""
+    rng = np.random.default_rng(2024)
+    level_counts = set()
+    for pool, refs, k in _niching_cases(rng):
+        levels = nondominated_sort(pool)
+        level_counts.add(len(levels))
+        ours, theirs = np.random.default_rng(k), np.random.default_rng(k)
+        expected = niche_preserve_lists(pool, levels, k, refs, theirs)
+        assert niche_preserve(pool, levels, k, refs, ours) == expected
+        assert ours.bit_generator.state == theirs.bit_generator.state
     assert {1, 2, 3, 4, 5} <= level_counts
 
 
