@@ -58,8 +58,6 @@ from .nsga3 import (
     Front,
     Individual,
     OptimizerConfig,
-    crossover,
-    mutate,
     niche_preserve,
     nondominated_sort,
     reference_directions,

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from bisect import insort
 from dataclasses import dataclass
 from pathlib import Path
@@ -149,18 +148,24 @@ class Schedule:
                 out.writerow([row[0], row[1], repr(row[2]), repr(row[3])])
 
 
-def unfairness(losses) -> float:
-    """Population standard deviation (divisor N) of the loss values.
+def unfairness(losses):
+    """Population standard deviation (divisor N) of the loss values: of a
+    list, a float; of a (workflows x P) matrix, one per column.
 
-    Deviations are squared with `x ** 2`, which calls the C library's
-    `pow`; it can differ from `x * x` in the last bit, so results are
-    bit-identical on one libm, not across platforms."""
-    losses = list(losses)
-    if not losses:
+    Sums run strictly in workflow order (`np.add.accumulate`, never the
+    pairwise `np.sum`), as `sum` over a list does. Deviations are squared
+    with Python's `x ** 2`, which calls the C library's `pow`; it can differ
+    from `x * x` in the last bit, so results are bit-identical on one libm,
+    not across platforms."""
+    losses = np.asarray(losses, dtype=float)
+    if len(losses) == 0:
         raise ValueError("unfairness of an empty loss list")
     n = len(losses)
-    mean = sum(losses) / n
-    return math.sqrt(sum((x - mean) ** 2 for x in losses) / n)
+    mean = np.add.accumulate(losses)[-1] / n
+    dev = losses - mean
+    squares = np.array([d**2 for d in dev.ravel().tolist()]).reshape(dev.shape)
+    spread = np.sqrt(np.add.accumulate(squares)[-1] / n)
+    return float(spread) if losses.ndim == 1 else spread
 
 
 def heft_alone(w: Workflow, catalog: ResourceCatalog) -> float:
@@ -231,11 +236,13 @@ class Evaluator:
 
     objectives() decodes a whole population at once: one walk over the
     global order, each step a fixed number of numpy operations on vectors
-    with one entry per population row. The per-task tables it reads (exec
-    time and cost per resource, predecessor positions and data sizes, the
-    resource-pair bandwidth table) are built once here. Every float is
-    produced by the same operation, in the same order, as in a per-genome
-    walk, so results do not depend on how a population is batched.
+    with one entry per population row, then a tail of whole-matrix
+    operations that turns each workflow's finish time and cost into the
+    three objectives. The per-task tables it reads (exec time and cost per
+    resource, predecessor positions and data sizes, the resource-pair
+    bandwidth table) are built once here. Every float is produced by the
+    same operation, in the same order, as in a per-genome walk with a
+    scalar tail, so results do not depend on how a population is batched.
     """
 
     def __init__(
@@ -312,8 +319,8 @@ class Evaluator:
         # one step per task: (cluster, workflow, predecessors, exec time and
         # cost per resource)
         self._steps = list(zip(cluster_of, wf_of, pred_of, exec_tab, cost_tab))
-        self._heft = [self.baselines.heft_makespan[w.id] for w in ws.workflows]
-        self._cheapest = [self.baselines.cheapest_cost[w.id] for w in ws.workflows]
+        self._heft = np.array([[self.baselines.heft_makespan[w.id]] for w in ws.workflows])
+        self._cheapest = np.array([[self.baselines.cheapest_cost[w.id]] for w in ws.workflows])
 
     @property
     def n_clusters(self) -> int:
@@ -373,11 +380,6 @@ class Evaluator:
         wf_finish = np.array([ft[rows].max(axis=0, initial=0.0) for rows in self._wf_rows])
         return ft, wf_finish, wf_cost
 
-    def _losses(self, wf_finish, wf_cost) -> list[float]:
-        heft = self._heft
-        cheapest = self._cheapest
-        return [wf_finish[g] / heft[g] + wf_cost[g] / cheapest[g] for g in range(len(heft))]
-
     def objectives(self, genes) -> tuple[float, float, float] | np.ndarray:
         """(makespan, total cost, unfairness) of each assignment.
 
@@ -386,13 +388,21 @@ class Evaluator:
         """
         G = self._check_genes(genes)
         _, wf_finish, wf_cost = self._walk(np.atleast_2d(G))
-        rows = [
-            (max(f), sum(c), unfairness(self._losses(f, c)))
-            for f, c in zip(wf_finish.T.tolist(), wf_cost.T.tolist())
-        ]
+        out = self._tail(wf_finish, wf_cost)
         if G.ndim == 1:
-            return rows[0]
-        return np.array(rows, dtype=float).reshape(len(rows), 3)
+            return tuple(out[0].tolist())
+        return out
+
+    def _tail(self, wf_finish: np.ndarray, wf_cost: np.ndarray) -> np.ndarray:
+        """(P x 3) objectives from the (workflows x P) finish times and
+        costs, as whole-matrix operations: the makespan is a column max, the
+        total cost a sum in workflow order, and the losses feed one
+        `unfairness` call."""
+        out = np.empty((wf_finish.shape[1], 3))
+        out[:, 0] = wf_finish.max(axis=0)
+        out[:, 1] = np.add.accumulate(wf_cost)[-1]
+        out[:, 2] = unfairness(wf_finish / self._heft + wf_cost / self._cheapest)
+        return out
 
     def decode(self, genes) -> Schedule:
         """Full schedule of one assignment, placements and fairness included."""
@@ -401,21 +411,14 @@ class Evaluator:
             raise ValueError("decode takes one assignment vector")
         st = np.empty((len(self._steps), 1))
         ft, wf_finish, wf_cost = self._walk(G[None, :], st)
-        wf_finish = wf_finish[:, 0].tolist()
-        wf_cost = wf_cost[:, 0].tolist()
+        makespan, total_cost, unfair = self._tail(wf_finish, wf_cost)[0].tolist()
         res_ids = [r.id for r in self.catalog]
         placements = {
             tid: Placement(res_ids[r], s, f)
             for tid, r, s, f in zip(self._task_ids, G[self._cluster_of].tolist(), st[:, 0].tolist(), ft[:, 0].tolist())
         }
-        report = _loss_report(self.ws, wf_finish, wf_cost, self.baselines)
-        return Schedule(
-            placements=placements,
-            makespan=max(wf_finish),
-            total_cost=sum(wf_cost),
-            unfairness=report.unfairness,
-            loss=report,
-        )
+        report = _loss_report(self.ws, wf_finish[:, 0].tolist(), wf_cost[:, 0].tolist(), self.baselines)
+        return Schedule(placements, makespan, total_cost, unfair, report)
 
 
 def decode(

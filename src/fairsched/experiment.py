@@ -231,8 +231,8 @@ class RunRecord:
             "optimizer": asdict(self.optimizer),
             "resources": wio.resources_to_dict(self.catalog),
             "front": {
-                "objectives": [[float(v) for v in ind.objectives] for ind in self.front],
-                "genes": [list(ind.genes_tuple()) for ind in self.front],
+                "objectives": [ind.objectives.tolist() for ind in self.front],
+                "genes": [ind.assignment.tolist() for ind in self.front],
             },
         }
 

@@ -17,15 +17,21 @@ unconditional, at the price of at most n_objectives niche picks.
 Selection state is passed as arrays, never stored on solutions: survivor
 selection returns the kept rows of the gene (P x n) and objective (P x 3)
 matrices with their nondomination rank and niche crowding, and the
-tournament draws row indices against those. A generation builds all its
-children before evaluating any, then decodes them in one
-`Evaluator.objectives` call on the children's gene matrix. Truncation
-sorts with one n x n dominance matrix, stopping at the split level, and
-niches over Python lists of open members and count buckets of niches.
+tournament draws row indices against those. A generation first makes
+every slot's draws (tournaments, crossover cut, mutation coins and
+resampled genes, in the order a per-child loop would draw them), then
+builds all its children at once in one gene matrix: a gather of first
+parents, the second parents' genes from each cut on, and the resampled
+genes written through one mutation mask. It decodes them in one
+`Evaluator.objectives` call. Truncation sorts with one n x n dominance
+matrix, stopping at the split level, and niches over Python lists of open
+members and count buckets of niches.
 
 Determinism: every random decision draws from a generator derived from
-(seed, generation, slot), so reruns with one seed reproduce the exact
-front bit for bit, independent of the process hash salt.
+(seed, generation, slot), `SeedSequence(seed, spawn_key=key)` built from
+the seed's 32-bit words assembled once per run, so reruns with one seed
+reproduce the exact front bit for bit, independent of the process hash
+salt.
 """
 
 from __future__ import annotations
@@ -64,6 +70,8 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.divisions < 1:
             raise ValueError(f"divisions must be >= 1, got {self.divisions}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +82,7 @@ class Individual:
     objectives: np.ndarray
 
     def genes_tuple(self) -> tuple[int, ...]:
-        return tuple(int(g) for g in self.assignment)
+        return tuple(self.assignment.tolist())
 
 
 @dataclass(frozen=True)
@@ -100,7 +108,7 @@ class Front:
             width = len(self.individuals[0].assignment) if self.individuals else 0
             out.writerow(["makespan", "total_cost", "unfairness"] + [f"gene_{i}" for i in range(width)])
             for ind in self.individuals:
-                out.writerow([repr(float(v)) for v in ind.objectives] + [int(g) for g in ind.assignment])
+                out.writerow([repr(v) for v in ind.objectives.tolist()] + ind.assignment.tolist())
 
 
 def reference_directions(divisions: int, n_obj: int = N_OBJECTIVES) -> np.ndarray:
@@ -146,32 +154,6 @@ def nondominated_sort(objectives: np.ndarray, stop: int | None = None) -> list[n
         dom_count = dom_count - dominates[current].sum(axis=0)
         current = np.flatnonzero((dom_count == 0) & ~assigned)
     return levels
-
-
-def crossover(a: np.ndarray, b: np.ndarray, rng, rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """Single-point crossover with probability `rate`; otherwise copies."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    length = len(a)
-    if length >= 2 and rng.random() < rate:
-        cut = int(rng.integers(1, length))
-        return (
-            np.concatenate([a[:cut], b[cut:]]),
-            np.concatenate([b[:cut], a[cut:]]),
-        )
-    return a.copy(), b.copy()
-
-
-def mutate(genes: np.ndarray, rng, rate: float, n_resources: int) -> np.ndarray:
-    """Resample each gene uniformly over the catalog with probability `rate`."""
-    genes = np.asarray(genes).copy()
-    if len(genes) == 0 or rate <= 0.0:
-        return genes
-    mask = rng.random(len(genes)) < rate
-    hits = int(mask.sum())
-    if hits:
-        genes[mask] = rng.integers(0, n_resources, size=hits)
-    return genes
 
 
 def _normalize(objs: np.ndarray) -> np.ndarray:
@@ -282,9 +264,9 @@ def _select_survivors(objs: np.ndarray, k: int, refs: np.ndarray, rng) -> tuple[
     return keep, rank[keep], crowd
 
 
-def _tournament(rank: np.ndarray, crowd: np.ndarray, rng) -> int:
+def _tournament(rank: list[int], crowd: list[int], rng) -> int:
     """Binary tournament over population rows: lower rank, then less crowded, then a coin."""
-    i, j = (int(x) for x in rng.integers(0, len(rank), size=2))
+    i, j = rng.integers(0, len(rank), size=2).tolist()
     if rank[i] != rank[j]:
         return i if rank[i] < rank[j] else j
     if crowd[i] != crowd[j]:
@@ -292,8 +274,63 @@ def _tournament(rank: np.ndarray, crowd: np.ndarray, rng) -> int:
     return i if rng.random() < 0.5 else j
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+def _offspring(
+    genes: np.ndarray, rank: np.ndarray, crowd: np.ndarray, rngs, cfg: OptimizerConfig, n_resources: int
+) -> np.ndarray:
+    """One child per population row, a pair per slot generator in `rngs`.
+
+    Each slot draws, in order: two tournaments; a crossover coin when there
+    are two or more genes, and a cut point when it hits; then for each child
+    a coin per gene when mutation is on, and the resampled genes when a coin
+    hits. An odd population's last slot builds one child, and draws nothing
+    for the second. A child takes its first parent's genes before the cut
+    and its second parent's from it (no crossover puts the cut at the end),
+    with the hit genes replaced; all children are built at once from those
+    draws.
+    """
+    size, n = genes.shape
+    rank, crowd = rank.tolist(), crowd.tolist()
+    first: list[int] = []  # per child, the parent of its genes before the cut
+    second: list[int] = []  # and the parent of its genes from the cut on
+    cut_at: list[int] = []
+    mutated = np.zeros((size, n), dtype=bool)
+    values: list[np.ndarray] = []
+    for c, rng in zip(range(0, size, 2), rngs):
+        pa = _tournament(rank, crowd, rng)
+        pb = _tournament(rank, crowd, rng)
+        k = min(2, size - c)
+        first += (pa, pb)[:k]
+        second += (pb, pa)[:k]
+        cut = n
+        if n >= 2 and rng.random() < cfg.crossover_rate:
+            cut = int(rng.integers(1, n))
+        cut_at += [cut] * k
+        if n and cfg.mutation_rate > 0.0:
+            for row in mutated[c : c + k]:
+                np.less(rng.random(n), cfg.mutation_rate, out=row)
+                hits = np.count_nonzero(row)
+                if hits:
+                    values.append(rng.integers(0, n_resources, size=hits))
+    children = genes[first]
+    np.copyto(children, genes[second], where=np.arange(n) >= np.array(cut_at)[:, None])
+    if values:
+        children[mutated] = np.concatenate(values)  # row-major, the order of the draws
+    return children
+
+
+def _seed_words(seed: int) -> list[int]:
+    """A nonnegative seed as `SeedSequence` assembles it ahead of a spawn
+    key: its 32-bit words, least significant first, zero-padded to 4."""
+    words = [seed & 0xFFFFFFFF]
+    while seed := seed >> 32:
+        words.append(seed & 0xFFFFFFFF)
+    return words + [0] * (4 - len(words))
+
+
+def _rng(seed_words: list[int], *key: int) -> np.random.Generator:
+    """The generator of `SeedSequence(seed, spawn_key=key)`, from the seed's
+    precomputed `_seed_words`: the same entropy, assembled once per run."""
+    return np.random.default_rng(np.random.SeedSequence(np.array(seed_words + list(key), dtype=np.uint32)))
 
 
 def run(
@@ -314,29 +351,23 @@ def run_with_evaluator(evaluator: Evaluator, cfg: OptimizerConfig) -> Front:
     n_res = evaluator.n_resources
     refs = reference_directions(cfg.divisions)
 
-    genes = _rng(cfg.seed, 0).integers(0, n_res, size=(cfg.population, evaluator.n_clusters))
+    words = _seed_words(cfg.seed)
+    genes = _rng(words, 0).integers(0, n_res, size=(cfg.population, evaluator.n_clusters))
     objs = evaluator.objectives(genes)
-    keep, rank, crowd = _select_survivors(objs, cfg.population, refs, _rng(cfg.seed, 1))
+    keep, rank, crowd = _select_survivors(objs, cfg.population, refs, _rng(words, 1))
     genes, objs = genes[keep], objs[keep]
 
-    pairs = (cfg.population + 1) // 2
     for gen in range(cfg.generations):
-        children = []
-        for slot in range(pairs):
-            rng = _rng(cfg.seed, 2, gen, slot)
-            pa = _tournament(rank, crowd, rng)
-            pb = _tournament(rank, crowd, rng)
-            for child in crossover(genes[pa], genes[pb], rng, cfg.crossover_rate):
-                children.append(mutate(child, rng, cfg.mutation_rate, n_res))
-        children = np.array(children[: cfg.population])
-        genes = np.concatenate([genes, children])
-        objs = np.concatenate([objs, evaluator.objectives(children)])
-        keep, rank, crowd = _select_survivors(objs, cfg.population, refs, _rng(cfg.seed, 3, gen))
+        rngs = (_rng(words, 2, gen, slot) for slot in range((cfg.population + 1) // 2))
+        # the children live only in the pool, one gene matrix fewer at the memory peak
+        genes = np.concatenate([genes, _offspring(genes, rank, crowd, rngs, cfg, n_res)])
+        objs = np.concatenate([objs, evaluator.objectives(genes[len(objs) :])])
+        keep, rank, crowd = _select_survivors(objs, cfg.population, refs, _rng(words, 3, gen))
         genes, objs = genes[keep], objs[keep]
 
     # rank 0 is the first front: the last selection kept pool level 0 whole or alone
     first: dict[tuple[int, ...], int] = {}
-    for i in np.flatnonzero(rank == 0):
-        first.setdefault(tuple(int(g) for g in genes[i]), int(i))
+    for i in np.flatnonzero(rank == 0).tolist():
+        first.setdefault(tuple(genes[i].tolist()), i)
     ordered = sorted(first.items(), key=lambda item: (tuple(objs[item[1]]), item[0]))
     return Front(tuple(Individual(genes[i], objs[i]) for _, i in ordered))

@@ -3,13 +3,15 @@
 Nothing here shares code with the package's algorithms: the simulator is
 event-driven rather than a single decode walk, HEFT is re-derived from its
 textbook description, dominance filtering and IGD are plain double loops,
-and hypervolume is Monte Carlo. Deliberately slow and obvious. Two frozen
+and hypervolume is Monte Carlo. Deliberately slow and obvious. Three frozen
 copies of earlier package code pin bit-exact behaviour instead:
 `niche_preserve_lists`, the optimizer's list-based survivor pick (it
 shares normalization and niche association with the package and pins the
-selection loop's picks and random draws), and `ScalarWalk`, the decoder's
-per-genome walk over plain Python lists, which the population-vectorized
-decoder must match bit for bit.
+selection loop's picks and random draws), `offspring_slots`, the
+optimizer's per-child tournament, crossover and mutation loop, which the
+batched offspring step must match bit for bit, and `ScalarWalk`, the
+decoder's per-genome walk over plain Python lists, which the
+population-vectorized decoder must match bit for bit.
 """
 
 from __future__ import annotations
@@ -310,6 +312,58 @@ def niche_preserve_lists(objectives, levels, k: int, refs, rng) -> list[int]:
         candidates.remove(pick)
         counts[niche] += 1
     return selected + [considered[p] for p in sorted(chosen)]
+
+
+# ---------------------------------------------------------------------------
+# offspring oracle
+
+
+def _tournament(rank, crowd, rng) -> int:
+    i, j = (int(x) for x in rng.integers(0, len(rank), size=2))
+    if rank[i] != rank[j]:
+        return i if rank[i] < rank[j] else j
+    if crowd[i] != crowd[j]:
+        return i if crowd[i] < crowd[j] else j
+    return i if rng.random() < 0.5 else j
+
+
+def crossover(a, b, rng, rate: float):
+    """Single-point crossover with probability `rate`; otherwise copies."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    length = len(a)
+    if length >= 2 and rng.random() < rate:
+        cut = int(rng.integers(1, length))
+        return (
+            np.concatenate([a[:cut], b[cut:]]),
+            np.concatenate([b[:cut], a[cut:]]),
+        )
+    return a.copy(), b.copy()
+
+
+def mutate(genes, rng, rate: float, n_resources: int):
+    """Resample each gene uniformly over the catalog with probability `rate`."""
+    genes = np.asarray(genes).copy()
+    if len(genes) == 0 or rate <= 0.0:
+        return genes
+    mask = rng.random(len(genes)) < rate
+    hits = int(mask.sum())
+    if hits:
+        genes[mask] = rng.integers(0, n_resources, size=hits)
+    return genes
+
+
+def offspring_slots(genes, rank, crowd, rngs, crossover_rate: float, mutation_rate: float, n_resources: int):
+    """The optimizer's per-slot offspring loop: per slot generator, two
+    tournaments, `crossover` of the two parents, `mutate` of both children,
+    one child per population row."""
+    children = []
+    for rng in rngs:
+        pa = _tournament(rank, crowd, rng)
+        pb = _tournament(rank, crowd, rng)
+        for child in crossover(genes[pa], genes[pb], rng, crossover_rate):
+            children.append(mutate(child, rng, mutation_rate, n_resources))
+    return np.array(children[: len(genes)])
 
 
 # ---------------------------------------------------------------------------

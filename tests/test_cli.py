@@ -193,6 +193,7 @@ def test_run_bad_config_shapes_exit_2(tmp_path, capsys, overrides, named):
         ({"populaton": 6}, "optimizer: unknown field(s) populaton"),
         ({"population": "6"}, "optimizer.population must be an integer"),
         ("fast", "optimizer must be a JSON object"),
+        ({"seed": -3}, "seed must be >= 0"),
     ],
 )
 def test_replay_bad_optimizer_block_exit_2(tmp_path, capsys, optimizer, named):

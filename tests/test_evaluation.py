@@ -244,6 +244,28 @@ def test_unfairness_squares_deviations_with_pow():
     assert unfairness(losses) == with_pow != with_mul
 
 
+def _unfairness_of_list(losses):
+    """The scalar formula: sums over the list in order, `x ** 2`, `sqrt`."""
+    mean = sum(losses) / len(losses)
+    return math.sqrt(sum((x - mean) ** 2 for x in losses) / len(losses))
+
+
+def test_unfairness_matrix_matches_columns():
+    """A (workflows x P) loss matrix gives each column's unfairness, bit for
+    bit, including a column where `pow` and `*` square differently."""
+    rng = np.random.default_rng(13)
+    matrices = [rng.uniform(0.5, 9.0, size=(w, p)) for w in (1, 2, 5, 30) for p in (1, 3, 92)]
+    matrices.append(np.array([[2.684, 1.0], [2.999, 1.0], [2.822, 1.0]]))
+    matrices.append(rng.uniform(1.0, 2.0, size=(4, 0)))
+    for losses in matrices:
+        got = unfairness(losses)
+        assert got.shape == (losses.shape[1],)
+        for column, value in zip(losses.T.tolist(), got.tolist()):
+            assert value.hex() == unfairness(column).hex() == _unfairness_of_list(column).hex()
+    with pytest.raises(ValueError):
+        unfairness(np.empty((0, 3)))
+
+
 def test_loss_report_two_single_task_workflows(unit_catalog):
     """Frozen trace: serialized on one machine the second workflow waits,
     losses come out {2, 3}: mean 2.5, unfairness 0.5."""

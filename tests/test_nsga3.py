@@ -13,18 +13,19 @@ from fairsched.model import Edge, ResourceCatalog, Resource, Task, Workflow, Wor
 from fairsched.nsga3 import (
     Front,
     OptimizerConfig,
+    _associate,
     _normalize,
+    _offspring,
     _rng,
+    _seed_words,
     _select_survivors,
-    crossover,
-    mutate,
     niche_preserve,
     nondominated_sort,
     reference_directions,
     run,
     run_with_evaluator,
 )
-from oracles import dominance_filter_naive, niche_preserve_lists
+from oracles import dominance_filter_naive, niche_preserve_lists, offspring_slots
 
 
 def naive_sort_levels(points):
@@ -110,7 +111,8 @@ def test_normalize_singular_plane_raises_no_warning():
 
 
 class _ScriptedRng:
-    """Stand-in generator yielding a fixed script of draws."""
+    """Stand-in generator yielding a fixed script of draws; popping past the
+    end of a script means a draw the caller did not expect."""
 
     def __init__(self, randoms=(), ints=()):
         self._randoms = list(randoms)
@@ -122,46 +124,121 @@ class _ScriptedRng:
     def integers(self, *a, **k):
         return self._ints.pop(0)
 
+    def exhausted(self) -> bool:
+        return not self._randoms and not self._ints
+
+
+def _children(genes, rngs, crossover_rate=0.0, mutation_rate=0.0, n_resources=5):
+    """Offspring of equally ranked, equally crowded parent rows."""
+    genes = np.asarray(genes)
+    flat = np.zeros(len(genes), dtype=int)
+    cfg = OptimizerConfig(crossover_rate=crossover_rate, mutation_rate=mutation_rate)
+    return _offspring(genes, flat, flat, rngs, cfg, n_resources)
+
+
+def _pick(a, b):
+    """Script of one slot's tournaments: parent a, then parent b, each
+    drawn twice (a tie) and kept by a coin of 0.0."""
+    return dict(randoms=[0.0, 0.0], ints=[np.array([a, a]), np.array([b, b])])
+
+
+def _script(slot, randoms=(), ints=()):
+    return _ScriptedRng(randoms=slot["randoms"] + list(randoms), ints=slot["ints"] + list(ints))
+
 
 def test_crossover_rate_zero_copies():
-    rng = np.random.default_rng(1)
-    a = np.array([0, 1, 2, 3])
-    b = np.array([3, 2, 1, 0])
-    ca, cb = crossover(a, b, rng, 0.0)
-    assert (ca == a).all() and (cb == b).all()
-    ca[0] = 9
-    assert a[0] == 0  # children are copies, not views
+    genes = np.array([[0, 1, 2, 3], [3, 2, 1, 0]])
+    rng = _script(_pick(0, 1), randoms=[0.5])  # the crossover coin misses
+    children = _children(genes, [rng], crossover_rate=0.0)
+    assert rng.exhausted()
+    assert children.tolist() == genes.tolist()
+    children[0, 0] = 9
+    assert genes[0, 0] == 0  # children are copies, not views
 
 
 def test_crossover_forced_cut():
-    a = np.array([0, 0, 0, 0])
-    b = np.array([1, 1, 1, 1])
-    ca, cb = crossover(a, b, _ScriptedRng(randoms=[0.0], ints=[2]), 1.0)
-    assert ca.tolist() == [0, 0, 1, 1]
-    assert cb.tolist() == [1, 1, 0, 0]
+    genes = np.array([[0, 0, 0, 0], [1, 1, 1, 1]])
+    rng = _script(_pick(0, 1), randoms=[0.0], ints=[2])
+    children = _children(genes, [rng], crossover_rate=1.0)
+    assert rng.exhausted()
+    assert children.tolist() == [[0, 0, 1, 1], [1, 1, 0, 0]]
 
 
 def test_crossover_single_gene_is_copy():
-    ca, cb = crossover(np.array([4]), np.array([7]), np.random.default_rng(0), 1.0)
-    assert ca.tolist() == [4] and cb.tolist() == [7]
+    rng = _script(_pick(1, 0))  # one gene: no crossover coin is drawn
+    children = _children(np.array([[4], [7]]), [rng], crossover_rate=1.0)
+    assert rng.exhausted()
+    assert children.tolist() == [[7], [4]]
 
 
 def test_mutate_rate_zero_and_single_resource():
-    rng = np.random.default_rng(2)
-    genes = np.array([0, 0, 0])
-    assert (mutate(genes, rng, 0.0, 5) == genes).all()
-    assert (mutate(genes, rng, 1.0, 1) == 0).all()
-    out = mutate(genes, rng, 1.0, 5)
-    assert genes.tolist() == [0, 0, 0]  # input untouched
+    genes = np.array([[0, 0, 0], [0, 0, 0]])
+    rng = _script(_pick(0, 1), randoms=[0.5])  # rate 0 draws no mutation coins
+    assert (_children(genes, [rng]) == genes).all()
+    assert rng.exhausted()
+    words = _seed_words(2)
+    assert (_children(genes, [_rng(words, 0)], mutation_rate=1.0, n_resources=1) == 0).all()
+    out = _children(genes, [_rng(words, 1)], mutation_rate=1.0, n_resources=5)
+    assert genes.tolist() == [[0, 0, 0], [0, 0, 0]]  # input untouched
+    assert out.shape == genes.shape
 
 
 def test_mutate_hit_rate_statistics():
-    rng = np.random.default_rng(3)
-    genes = np.zeros(4000, dtype=int)
-    out = mutate(genes, rng, 0.5, 1000)
+    genes = np.zeros((2, 4000), dtype=int)
+    out = _children(genes, [_rng(_seed_words(3), 0)], mutation_rate=0.5, n_resources=1000)
     # a resample leaves the gene unchanged 1/1000 of the time; ignore that
     changed = (out != genes).mean()
     assert 0.45 < changed < 0.55
+
+
+def test_mutate_fills_hits_in_child_order():
+    """Resampled values land on each child's hit genes in draw order: the
+    first child's hits, then the second's."""
+    genes = np.zeros((2, 3), dtype=int)
+    rng = _script(
+        _pick(0, 1),
+        randoms=[0.9, np.array([0.0, 0.9, 0.0]), np.array([0.9, 0.0, 0.9])],
+        ints=[np.array([1, 2]), np.array([3])],
+    )
+    children = _children(genes, [rng], crossover_rate=0.5, mutation_rate=0.5)
+    assert rng.exhausted()
+    assert children.tolist() == [[1, 0, 2], [0, 3, 0]]
+
+
+def test_offspring_matches_slot_loop():
+    """The batched offspring step builds the per-slot loop's children byte
+    for byte, drawing the same numbers from every slot generator (the
+    loop also draws for an odd population's dropped last child)."""
+    rng = np.random.default_rng(7)
+    words = _seed_words(2**40 + 3)
+    cases = itertools.product((2, 3, 7, 92), (1, 2, 60), (0.0, 0.01, 1.0), (0.0, 0.8, 1.0))
+    for case, (size, width, mutation_rate, crossover_rate) in enumerate(cases):
+        n_res = int(rng.integers(1, 6))
+        genes = rng.integers(0, n_res, size=(size, width))
+        rank = rng.integers(0, 3, size=size)
+        crowd = rng.integers(1, 4, size=size)
+        ours = [_rng(words, 2, case, slot) for slot in range((size + 1) // 2)]
+        theirs = [_rng(words, 2, case, slot) for slot in range((size + 1) // 2)]
+        cfg = OptimizerConfig(crossover_rate=crossover_rate, mutation_rate=mutation_rate)
+        got = _offspring(genes, rank, crowd, ours, cfg, n_res)
+        expected = offspring_slots(genes, rank, crowd, theirs, crossover_rate, mutation_rate, n_res)
+        assert got.dtype == expected.dtype and got.shape == expected.shape == (size, width)
+        assert got.tobytes() == expected.tobytes(), (size, width, mutation_rate, crossover_rate)
+        compared = ours[:-1] if size % 2 else ours
+        assert [g.bit_generator.state for g in compared] == [g.bit_generator.state for g in theirs[: len(compared)]]
+
+
+def test_rng_matches_spawned_seed_sequence():
+    """A generator built from precomputed seed words has the state of
+    `SeedSequence(seed, spawn_key=key)`, for seeds of one to five words."""
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**96 + 5, 2**128 + 2**64 + 1, 2**160 - 1]
+    keys = [(0,), (1,), (2, 0, 0), (2, 199, 45), (3, 7)]
+    for seed in seeds:
+        words = _seed_words(seed)
+        for key in keys:
+            expected = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+            assert _rng(words, *key).bit_generator.state == expected.bit_generator.state, (seed, key)
+    assert {len(_seed_words(s)) for s in seeds} == {4, 5}
 
 
 # four mutually nondominated points; corner guard admits the per-objective
@@ -277,6 +354,26 @@ def test_survivor_truncation_keeps_per_objective_best():
         assert rank.shape == crowd.shape == (k,) and (crowd >= 1).all()
 
 
+def test_crowd_counts_niches_under_kept_rows_normalization():
+    """`crowd` counts kept rows per niche with the kept rows normalized on
+    their own, not under the normalization niching used for the considered
+    rows; the two differ on some pools, and tournaments read `crowd`."""
+    rng = np.random.default_rng(12)
+    refs = reference_directions(4)
+    differs = 0
+    for pool in _selection_pools(rng):
+        for k in range(1, len(pool)):
+            keep, _, crowd = _select_survivors(pool, k, refs, np.random.default_rng(k))
+            own, _ = _associate(_normalize(pool[keep]), refs)
+            assert crowd.tolist() == np.bincount(own, minlength=len(refs))[own].tolist()
+            considered = np.concatenate(nondominated_sort(pool, stop=k))  # the rows niching normalized
+            niche_of, _ = _associate(_normalize(pool[considered]), refs)
+            at = {int(row): int(niche) for row, niche in zip(considered, niche_of)}
+            theirs = [at[int(row)] for row in keep]
+            differs += crowd.tolist() != np.bincount(theirs, minlength=len(refs))[theirs].tolist()
+    assert differs
+
+
 def _tiny_problem():
     w1 = Workflow(
         "w1",
@@ -389,7 +486,7 @@ def test_run_improves_on_initial_population():
     ws, catalog, plan, order = _tiny_problem()
     cfg = OptimizerConfig(population=6, generations=10, seed=99)
     ev = Evaluator(ws, catalog, plan, order)
-    init = _rng(cfg.seed, 0).integers(0, 2, size=(cfg.population, plan.n_clusters))
+    init = _rng(_seed_words(cfg.seed), 0).integers(0, 2, size=(cfg.population, plan.n_clusters))
     init_best = np.array([ev.objectives(init[i]) for i in range(cfg.population)]).min(axis=0)
     front = run(ws, catalog, plan, order, cfg)
     final_best = front.objectives_array().min(axis=0)
@@ -418,6 +515,8 @@ def test_config_validation_rejects_bad_values():
     ):
         with pytest.raises(ValueError):
             bad.validate()
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        OptimizerConfig(seed=-3).validate()
 
 
 def test_front_csv_round_trip(tmp_path):
