@@ -11,7 +11,7 @@ objective box it covers.
 from fairsched import (
     GeneratorSpec, OptimizerConfig, default_catalog, generate,
     make_plan, order_interleave, run,
-    aggregate_scores, score_fronts,
+    aggregate_scores, score_fronts, union_reference,
 )
 
 ws = generate(GeneratorSpec(
@@ -29,8 +29,9 @@ for method in ("dfs-cst", "p2p", "mdnc"):
         for s in (0, 1)
     ]
 
-scores, reference = score_fronts("demo", fronts)
-print(f"union reference front: {len(reference.points)} points\n")
+scores = score_fronts("demo", fronts)
+reference = union_reference([f for runs in fronts.values() for f in runs])
+print(f"union reference front: {len(reference)} points\n")
 print("method     rep    IGD       HV")
 for s in scores:
     print(f"{s.algorithm:<9} {s.repetition:4d} {s.igd:8.4f} {s.hv:8.4f}")

@@ -65,12 +65,10 @@ from .nsga3 import (
 )
 from .metrics import (
     HV_REFERENCE,
-    NormalizedFront,
     aggregate_scores,
     hv,
     igd,
     normalize,
-    normalized_reference,
     pareto_filter,
     rdi,
     score_fronts,

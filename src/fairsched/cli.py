@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import sys
 from pathlib import Path
 
 from . import experiment
-from .generator import GeneratorSpec, generate, stable_seed, table2_specs
+from .generator import GeneratorSpec, generate, table2_specs
 from .io import FormatError, default_catalog, save_native, save_resources
 from .model import ValidationError
 
@@ -51,22 +50,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    cfg = experiment.load_config(args.config)
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, output_dir=args.out)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-        regenerated = []
-        for d in cfg.datasets:
-            doc = d.to_dict()
-            if d.generator is not None:
-                doc["seed"] = stable_seed(args.seed, "dataset", d.name)
-            regenerated.append(experiment.DatasetSpec.from_dict(doc, master_seed=args.seed))
-        cfg = dataclasses.replace(cfg, datasets=tuple(regenerated))
-    if args.reps is not None:
-        cfg = dataclasses.replace(cfg, repetitions=args.reps)
-    if args.clusterers is not None:
-        cfg = dataclasses.replace(cfg, clusterers=tuple(c.strip() for c in args.clusterers.split(",") if c.strip()))
+    clusterers = None if args.clusterers is None else [c.strip() for c in args.clusterers.split(",") if c.strip()]
+    cfg = experiment.load_config(
+        args.config, output_dir=args.out, seed=args.seed, repetitions=args.reps, clusterers=clusterers
+    )
     out = experiment.run_experiment(cfg)
     print(out)
     return 0

@@ -43,9 +43,7 @@ result is a topological permutation of every task in the set.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from .model import GraphError, ResourceCatalog, Workflow, WorkflowSet
 
@@ -114,27 +112,6 @@ class ClusterPlan:
                 if w.has_task(a) and w.has_task(b) and b not in w.successors(a):
                     out.append(f"cluster {c.id}: {a!r} -> {b!r} is not an edge")
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "clusters": [
-                {"id": c.id, "workflow_id": c.workflow_id, "members": list(c.members)} for c in self.clusters
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ClusterPlan":
-        clusters = [
-            Cluster(int(c["id"]), c["workflow_id"], tuple(c["members"])) for c in doc["clusters"]
-        ]
-        return cls(clusters)
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "ClusterPlan":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,8 @@ class ExperimentConfig:
             self.optimizer.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.optimizer.seed != 0:
+            raise ConfigError("optimizer.seed is not used: each run's seed comes from the master 'seed'")
 
     def to_dict(self) -> dict:
         return {
@@ -199,7 +201,9 @@ class ExperimentConfig:
         )
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, **overrides) -> ExperimentConfig:
+    """Parse a config file. Each non-None override replaces the document's
+    top-level field of that name before parsing, as if the file held it."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -207,6 +211,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file {path} does not exist") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    if isinstance(doc, dict):
+        doc.update((k, v) for k, v in overrides.items() if v is not None)
     return ExperimentConfig.from_dict(doc)
 
 
@@ -271,12 +277,17 @@ _RECORD_FIELDS = ("dataset", "clusterer", "repetition", "seed", "optimizer", "re
 
 
 def load_record(path) -> RunRecord:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise wio.FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise wio.FormatError(f"{path}: a run record must be a JSON object")
     missing = [k for k in _RECORD_FIELDS if k not in doc]
     if missing:
         raise wio.FormatError(f"{path}: run record lacks field(s) {', '.join(missing)}")
+    if isinstance(doc["dataset"], dict) and "path" not in doc["dataset"] and "seed" not in doc["dataset"]:
+        raise wio.FormatError(f"{path}: generator dataset lacks its seed")
     if not isinstance(doc["clusterer"], str):
         raise wio.FormatError(f"{path}: clusterer must be a string, got {doc['clusterer']!r}")
     return RunRecord(
@@ -371,7 +382,7 @@ def _write_metrics(fronts_by_dataset, normalize_igd: bool, metrics_dir: Path) ->
     <ds>_runs.csv per dataset, then aggregate.csv and rdi.csv."""
     all_scores = []
     for name, fronts_by_algorithm in fronts_by_dataset.items():
-        scores, _ = score_fronts(name, fronts_by_algorithm, normalize_igd=normalize_igd)
+        scores = score_fronts(name, fronts_by_algorithm, normalize_igd=normalize_igd)
         write_run_scores_csv(scores, metrics_dir / f"{name}_runs.csv")
         all_scores += scores
     aggregates = aggregate_scores(all_scores)

@@ -59,30 +59,6 @@ def normalize(points: np.ndarray, bounds: tuple[np.ndarray, np.ndarray]) -> np.n
     return np.where(span > 0, out, 0.0)
 
 
-@dataclass(frozen=True)
-class NormalizedFront:
-    """A front in [0, 1]^3 together with the bounds that produced it."""
-
-    points: np.ndarray
-    bounds: tuple[np.ndarray, np.ndarray]
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.size and (pts.min() < -1e-9 or pts.max() > 1 + 1e-9):
-            raise ValueError("normalized coordinates fall outside [0, 1]")
-        object.__setattr__(self, "points", pts)
-
-
-def normalized_reference(fronts) -> NormalizedFront:
-    """Union reference front normalized by its own bounds."""
-    return _self_normalized(union_reference(fronts))
-
-
-def _self_normalized(ref: np.ndarray) -> NormalizedFront:
-    bounds = norm_bounds(ref)
-    return NormalizedFront(normalize(ref, bounds), bounds)
-
-
 def igd(front: np.ndarray, reference: np.ndarray) -> float:
     """Mean distance from each reference point to the nearest front point."""
     P = np.asarray(front, dtype=float).reshape(-1, 3)
@@ -102,8 +78,7 @@ def hv(front, ref=HV_REFERENCE) -> float:
     harmless. Computed by sweeping the first objective and accumulating
     2-D staircase areas of the active slabs.
     """
-    pts = front.points if isinstance(front, NormalizedFront) else front
-    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+    pts = np.asarray(front, dtype=float).reshape(-1, 3)
     ref = np.asarray(ref, dtype=float)
     if len(pts) == 0:
         return 0.0
@@ -141,8 +116,10 @@ def rdi(values, better: str) -> list[float]:
     """Relative deviation from the best value in the group.
 
     better="smaller" treats the minimum as best (IGD), better="larger" the
-    maximum (hypervolume). The best entry maps to 0; a best of 0 leaves the
-    ratio undefined and raises.
+    maximum (hypervolume). The best entry maps to 0. A best of exactly 0,
+    which a run holding the whole union reference scores on IGD, leaves the
+    ratio undefined; then entries equal to the best map to 0 and all others
+    to infinity.
     """
     values = [float(v) for v in values]
     if not values:
@@ -154,7 +131,7 @@ def rdi(values, better: str) -> list[float]:
     else:
         raise ValueError(f"better must be 'smaller' or 'larger', got {better!r}")
     if best == 0.0:
-        raise ValueError("rdi undefined: best value is 0")
+        return [0.0 if v == best else float("inf") for v in values]
     return [(v - best) / best for v in values]
 
 
@@ -182,39 +159,25 @@ class AggregateScore:
 def score_fronts(
     dataset: str,
     fronts_by_algorithm: dict[str, list[np.ndarray]],
-    ref_point=HV_REFERENCE,
     normalize_igd: bool = True,
-) -> tuple[list[RunScore], NormalizedFront]:
+) -> list[RunScore]:
     """IGD and hypervolume of every run front against the dataset's union
     reference. Bounds are never mixed across datasets: callers score each
     dataset separately."""
     all_fronts = [f for runs in fronts_by_algorithm.values() for f in runs]
     ref_pts_raw = union_reference(all_fronts)
-    reference = _self_normalized(ref_pts_raw)
+    bounds = norm_bounds(ref_pts_raw)
+    ref_pts = normalize(ref_pts_raw, bounds)
     scores: list[RunScore] = []
     for algorithm in fronts_by_algorithm:
         for rep, front in enumerate(fronts_by_algorithm[algorithm]):
-            norm_front = normalize(front, reference.bounds)
+            norm_front = normalize(front, bounds)
             if normalize_igd:
-                igd_value = igd(norm_front, reference.points)
+                igd_value = igd(norm_front, ref_pts)
             else:
                 igd_value = igd(front, ref_pts_raw)
-            scores.append(
-                RunScore(dataset, algorithm, rep, igd_value, hv(norm_front, ref_point))
-            )
-    return scores, reference
-
-
-def _rdi_allowing_zero_best(values, better: str) -> list[float]:
-    """RDI with a convention for the degenerate best == 0 case, which a
-    perfectly scoring algorithm can produce (its every front contains the
-    whole union reference, so mean IGD is exactly 0): ties with the best
-    deviate by 0, everything else by infinity."""
-    values = [float(v) for v in values]
-    best = min(values) if better == "smaller" else max(values)
-    if best == 0.0:
-        return [0.0 if v == best else float("inf") for v in values]
-    return rdi(values, better)
+            scores.append(RunScore(dataset, algorithm, rep, igd_value, hv(norm_front)))
+    return scores
 
 
 def aggregate_scores(scores: list[RunScore]) -> list[AggregateScore]:
@@ -233,8 +196,8 @@ def aggregate_scores(scores: list[RunScore]) -> list[AggregateScore]:
     out: list[AggregateScore] = []
     for dataset in datasets:
         rows = datasets[dataset]
-        igd_rdis = _rdi_allowing_zero_best([r[1] for r in rows], better="smaller")
-        hv_rdis = _rdi_allowing_zero_best([r[3] for r in rows], better="larger")
+        igd_rdis = rdi([r[1] for r in rows], better="smaller")
+        hv_rdis = rdi([r[3] for r in rows], better="larger")
         for (algorithm, im, istd, hm, hstd), ri, rh in zip(rows, igd_rdis, hv_rdis):
             out.append(AggregateScore(dataset, algorithm, im, istd, hm, hstd, ri, rh))
     return out

@@ -113,6 +113,43 @@ def test_run_overrides(tmp_path):
     assert len(list((runs / "p2p").glob("rep*.json"))) == 2
 
 
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_run_seed_override_matches_config_seed(tmp_path):
+    """--seed acts as if the config held it: explicit dataset seeds stay,
+    omitted ones derive from the new master seed."""
+    datasets = [
+        {"name": "fixed", "n_workflows": 2, "task_count_range": [3, 4], "ccr": 0.5, "parallelism_degree": 0.5, "seed": 42},
+        {"name": "derived", "n_workflows": 2, "task_count_range": [3, 4], "ccr": 2.0, "parallelism_degree": 0.3},
+    ]
+    overridden = write_config(tmp_path / "seed1.json", tmp_path / "a", datasets=datasets, seed=1)
+    in_file = write_config(tmp_path / "seed5.json", tmp_path / "b", datasets=datasets, seed=5)
+    assert main(["run", "--config", str(overridden), "--seed", "5", "--quiet"]) == 0
+    assert main(["run", "--config", str(in_file), "--quiet"]) == 0
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    assert sorted(a) == sorted(b)
+    for name in a:
+        if name == "config.json":
+            doc_a, doc_b = json.loads(a[name]), json.loads(b[name])
+            assert doc_a.pop("output_dir") != doc_b.pop("output_dir")
+            assert doc_a == doc_b
+        else:
+            assert a[name] == b[name], name
+    record = json.loads(a["runs/fixed/none/rep00.json"])
+    assert record["dataset"]["seed"] == 42
+
+
+def test_run_seed_override_of_array_config_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text("[1, 2]")
+    assert main(["run", "--config", str(cfg), "--seed", "3", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "config document must be a JSON object" in err
+    assert "Traceback" not in err
+
+
 def test_run_rejects_unknown_clusterer(tmp_path, capsys):
     cfg = write_config(tmp_path / "config.json", tmp_path / "results")
     assert main(["run", "--config", str(cfg), "--clusterers", "bogus", "--quiet"]) == 2
@@ -176,6 +213,7 @@ def test_run_non_finite_inputs_exit_2(tmp_path, capsys):
             {"datasets": [{"name": "t", "n_workflows": 2, "task_count_range": [3, 4], "ccr": float("inf"), "parallelism_degree": 0.5}]},
             "dataset 't': ccr must be finite and > 0, got inf",
         ),
+        ({"optimizer": {"seed": 4}}, "optimizer.seed is not used"),
     ],
 )
 def test_run_bad_config_shapes_exit_2(tmp_path, capsys, overrides, named):
@@ -239,13 +277,16 @@ def _set_front(objectives, genes):
         (_set_front([[1.0, 2.0, "3"]], [[0]]), "front objectives must be rows of 3 numbers"),
         (_set_front([[1.0, 2.0, 3.0]], [[0.5]]), "front genes must be rows of integers of one length"),
         (_set_front([[1.0, 2.0, 3.0]] * 2, [[0, 1], [0]]), "front genes must be rows of integers of one length"),
+        (lambda doc: json.dumps(doc)[:40], "rep00.json: invalid JSON"),
+        (lambda doc: {**doc, "dataset": {k: v for k, v in doc["dataset"].items() if k != "seed"}}, "generator dataset lacks its seed"),
     ],
 )
 def test_replay_bad_record_schema_exit_2(tmp_path, capsys, edit, named):
     out_dir = tmp_path / "results"
     main(["run", "--config", str(write_config(tmp_path / "config.json", out_dir)), "--quiet"])
     record = out_dir / "runs" / "t" / "none" / "rep00.json"
-    record.write_text(json.dumps(edit(json.loads(record.read_text()))))
+    edited = edit(json.loads(record.read_text()))
+    record.write_text(edited if isinstance(edited, str) else json.dumps(edited))
     assert main(["replay", "--record", str(record), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert named in err
@@ -260,6 +301,17 @@ def test_eval_follows_config_normalize_igd(tmp_path):
         assert main(["eval", "--runs", str(out_dir / "runs"), "--out", str(tmp_path / name), "--quiet", *flags]) == 0
         for csv_name in ("t_runs.csv", "aggregate.csv"):
             assert (tmp_path / name / csv_name).read_bytes() == (out_dir / "metrics" / csv_name).read_bytes()
+
+
+def test_eval_names_record_with_invalid_json(tmp_path, capsys):
+    out_dir = tmp_path / "results"
+    main(["run", "--config", str(write_config(tmp_path / "config.json", out_dir, repetitions=2)), "--quiet"])
+    bad = out_dir / "runs" / "t" / "none" / "rep01.json"
+    bad.write_text(bad.read_text()[:40])
+    assert main(["eval", "--runs", str(out_dir / "runs"), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: invalid JSON" in err
+    assert "Traceback" not in err
 
 
 def test_eval_missing_runs_exit_2(tmp_path, capsys):

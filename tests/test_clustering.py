@@ -193,15 +193,6 @@ def test_plan_rejects_double_membership(diamond_set):
         ClusterPlan([type(c0)(0, "wf", ("a", "b")), type(c0)(1, "wf", ("b",))])
 
 
-def test_plan_serialization_round_trip(diamond_set, unit_catalog, tmp_path):
-    plan = cluster_dfs_cst(diamond_set, unit_catalog)
-    path = tmp_path / "plan.json"
-    plan.save(path)
-    again = ClusterPlan.load(path)
-    assert [c.members for c in again] == [c.members for c in plan]
-    assert [c.workflow_id for c in again] == [c.workflow_id for c in plan]
-
-
 def test_interleave_round_robin(two_chain_set, unit_catalog):
     plan = cluster_none(two_chain_set)
     order = order_interleave(plan, two_chain_set)
