@@ -38,12 +38,14 @@ Ordering: order_interleave() emits tasks round-robin over workflows in
 submission order; on a workflow's turn, its lowest-id cluster whose next
 unemitted member has every direct predecessor already emitted contributes
 that member, and a workflow with no ready cluster passes the turn. The
-result is a topological permutation of every task in the set.
+result is a topological permutation of every task in the set. A turn pops
+a per-workflow min-heap of ready cluster ids instead of scanning clusters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .model import GraphError, ResourceCatalog, Workflow, WorkflowSet
 
@@ -138,14 +140,15 @@ def upward_rank(w: Workflow, catalog: ResourceCatalog) -> dict[str, float]:
     """Classic upward rank on the average-cost graph: the expected length of
     the longest path from each task to an exit."""
     mean_bw, inv_cu = _catalog_means(catalog)
+    edge, successors, task = w.edge, w.successors, w.task
     rank: dict[str, float] = {}
     for tid in reversed(w.topological_order()):
         best = 0.0
-        for s in w.successors(tid):
-            value = w.edge(tid, s).data_size / mean_bw + rank[s]
+        for s in successors(tid):
+            value = edge(tid, s).data_size / mean_bw + rank[s]
             if value > best:
                 best = value
-        rank[tid] = w.task(tid).workload * inv_cu + best
+        rank[tid] = task(tid).workload * inv_cu + best
     return rank
 
 
@@ -155,24 +158,22 @@ def cluster_dfs_cst(ws: WorkflowSet, catalog: ResourceCatalog) -> ClusterPlan:
     clusters: list[Cluster] = []
     for w in ws.workflows:
         rank = upward_rank(w, catalog)
+        edge, successors, task = w.edge, w.successors, w.task
         unclustered = {t.id for t in w.tasks}
-        id_order = sorted(unclustered)
-        while unclustered:
-            head = None
-            best_rank = -1.0
-            for tid in id_order:  # ascending ids, so strict > keeps the smallest on ties
-                if tid in unclustered and rank[tid] > best_rank:
-                    head, best_rank = tid, rank[tid]
+        # heads by rank, highest first, ties to the smallest id
+        for head in sorted(unclustered, key=lambda tid: (-rank[tid], tid)):
+            if head not in unclustered:
+                continue
             members = [head]
             unclustered.remove(head)
             current = head
             while True:
                 nxt = None
                 best = -1.0
-                for s in w.successors(current):
+                for s in successors(current):
                     if s not in unclustered:
                         continue
-                    value = w.edge(current, s).data_size / mean_bw + w.task(s).workload * inv_cu
+                    value = edge(current, s).data_size / mean_bw + task(s).workload * inv_cu
                     if value > best:
                         nxt, best = s, value
                 if nxt is None:
@@ -259,36 +260,51 @@ def make_plan(ws: WorkflowSet, catalog: ResourceCatalog, method: str) -> Cluster
 def order_interleave(plan: ClusterPlan, ws: WorkflowSet) -> OrderedPlan:
     """Round-robin the workflows, emitting one ready task per turn.
 
-    On each workflow's turn its clusters are scanned in id order; the first
-    cluster whose next unemitted member has all direct predecessors emitted
-    contributes that member. A workflow with nothing ready passes. The loop
-    ends when every task is emitted; a full round with no progress means the
-    plan is inconsistent with the DAGs and raises GraphError.
+    On each workflow's turn its lowest-id ready cluster, one whose next
+    unemitted member has all direct predecessors emitted, contributes that
+    member; a workflow with nothing ready passes. Ready cluster ids sit in a
+    min-heap per workflow, fed by per-task counts of unemitted predecessors.
+    A full round with no progress means the plan is inconsistent with the
+    DAGs and raises GraphError.
     """
-    by_wf: dict[str, list[list]] = {w.id: [] for w in ws.workflows}
+    ready: dict[str, list[int]] = {w.id: [] for w in ws.workflows}
     for c in plan.clusters:
-        if c.workflow_id not in by_wf:
+        if c.workflow_id not in ready:
             raise GraphError(f"cluster {c.id} references unknown workflow {c.workflow_id!r}")
-        by_wf[c.workflow_id].append([c, 0])  # [cluster, next-member index]
     total = ws.n_tasks
     if len(plan.task_to_cluster) != total:
         raise GraphError("plan does not cover the workflow set exactly")
-    emitted: set[str] = set()
+    waiting: dict[str, int] = {}  # task -> unemitted predecessors
+    for c in plan.clusters:
+        predecessors = ws.workflow(c.workflow_id).predecessors
+        for m in c.members:
+            waiting[m] = len(predecessors(m))
+        if c.members and waiting[c.members[0]] == 0:
+            ready[c.workflow_id].append(c.id)  # ascending ids form a heap
+    chains = [c.members for c in plan.clusters]
+    nxt = [0] * len(chains)  # per cluster, the next member's index
+    to_cluster = plan.task_to_cluster
     order: list[str] = []
     while len(order) < total:
-        progressed = False
+        before = len(order)
         for w in ws.workflows:
-            for entry in by_wf[w.id]:
-                cluster, i = entry
-                if i >= len(cluster.members):
-                    continue
-                nxt = cluster.members[i]
-                if all(p in emitted for p in w.predecessors(nxt)):
-                    order.append(nxt)
-                    emitted.add(nxt)
-                    entry[1] = i + 1
-                    progressed = True
-                    break
-        if not progressed:
+            heap = ready[w.id]
+            if not heap:
+                continue
+            cid = heappop(heap)
+            chain = chains[cid]
+            i = nxt[cid]
+            tid = chain[i]
+            order.append(tid)
+            nxt[cid] = i = i + 1
+            if i < len(chain) and waiting[chain[i]] == 0:
+                heappush(heap, cid)
+            for s in w.successors(tid):
+                waiting[s] -= 1
+                if waiting[s] == 0:
+                    c = to_cluster[s]
+                    if chains[c][nxt[c]] == s:
+                        heappush(heap, c)
+        if len(order) == before:
             raise GraphError("interleaving stalled; plan is inconsistent with the workflow DAGs")
     return OrderedPlan(tuple(order))

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from bisect import insort
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import ClusterPlan, OrderedPlan, upward_rank
-from .model import Resource, ResourceCatalog, Task, Workflow, WorkflowSet
+from .model import GraphError, Resource, ResourceCatalog, Task, Workflow, WorkflowSet
 
 
 def exec_time(task: Task, resource: Resource) -> float:
@@ -172,26 +173,30 @@ def heft_alone(w: Workflow, catalog: ResourceCatalog) -> float:
     """Makespan of the workflow scheduled alone by HEFT on this catalog."""
     rank = upward_rank(w, catalog)
     order = sorted((t.id for t in w.tasks), key=lambda tid: (-rank[tid], tid))
-    timelines: list[list[tuple[float, float]]] = [[] for _ in catalog]
+    bw = [r.bandwidth for r in catalog]
+    # comm_time per resource pair; the infinite diagonal makes ds / inf = 0.0, and pf + 0.0 == pf
+    link = [[math.inf if i == j else min(a, b) for j, b in enumerate(bw)] for i, a in enumerate(bw)]
+    lanes = [(r.cpu_capacity, link[ri], []) for ri, r in enumerate(catalog)]  # (capacity, links, busy slots)
+    task, edge, predecessors = w.task, w.edge, w.predecessors
     placed: dict[str, tuple[int, float]] = {}  # task -> (resource index, finish)
     for tid in order:
-        task = w.task(tid)
+        workload = task(tid).workload
+        preds = [(*placed[p], edge(p, tid).data_size) for p in predecessors(tid)]
         best = None
-        for ri, r in enumerate(catalog):
+        for ri, (cu, col, timeline) in enumerate(lanes):
             ready = 0.0
-            for p in w.predecessors(tid):
-                pr, pf = placed[p]
-                arrival = pf + comm_time(w.edge(p, tid).data_size, catalog[pr], r)
+            for pr, pf, ds in preds:
+                arrival = pf + ds / col[pr]
                 if arrival > ready:
                     ready = arrival
-            et = task.workload / r.cpu_capacity
-            start = _earliest_slot(timelines[ri], ready, et)
+            et = workload / cu
+            start = _earliest_slot(timeline, ready, et)
             finish = start + et
             if best is None or finish < best[2]:
                 best = (ri, start, finish)
         ri, start, finish = best
         placed[tid] = (ri, finish)
-        insort(timelines[ri], (start, finish))
+        insort(lanes[ri][2], (start, finish))
     return max((f for _, f in placed.values()), default=0.0)
 
 
@@ -209,9 +214,11 @@ def _earliest_slot(timeline: list[tuple[float, float]], ready: float, duration: 
 def cheapest_alone(w: Workflow, catalog: ResourceCatalog) -> float:
     """Cheapest possible cost of the workflow alone: every task on its
     individually cheapest resource (cost has no precedence coupling)."""
+    rates = [(r.cpu_capacity, r.cost_per_interval, r.billing_interval) for r in catalog]
     total = 0.0
     for t in w.tasks:
-        total += min(exec_cost(t, r) for r in catalog)
+        wl = t.workload
+        total += min(wl / cu * cpi / bi for cu, cpi, bi in rates)  # exec_cost, inlined
     return total
 
 
@@ -277,25 +284,30 @@ class Evaluator:
         multi: list[tuple[int, int, int]] = []  # (task, first, end) in the flat arrays
         pred_pos: list[int] = []
         pred_size: list[float] = []
+        to_cluster = plan.task_to_cluster
+        if not index.keys() <= to_cluster.keys():
+            raise GraphError("plan does not cover every task of the set")
         self._wf_rows = []
         for g, w in enumerate(ws.workflows):
+            edge, predecessors = w.edge, w.predecessors
             rows = []
             for t in w.tasks:
-                i = index[t.id]
+                tid = t.id
+                i = index[tid]
                 rows.append(i)
                 wl[i] = t.workload
                 wf_of[i] = g
-                cluster_of[i] = plan.cluster_of(t.id)
-                preds = w.predecessors(t.id)
+                cluster_of[i] = to_cluster[tid]
+                preds = predecessors(tid)
                 first = len(pred_pos)
                 for p in preds:
                     pi = index[p]
                     if pi >= i:
-                        raise ValueError(f"order is not topological: {p!r} comes after {t.id!r}")
+                        raise ValueError(f"order is not topological: {p!r} comes after {tid!r}")
                     pred_pos.append(pi)
-                    pred_size.append(w.edge(p, t.id).data_size)
+                    pred_size.append(edge(p, tid).data_size)
                 if len(preds) == 1:
-                    pred_of[i] = (pi, plan.cluster_of(preds[0]), pred_size[-1])
+                    pred_of[i] = (pi, to_cluster[preds[0]], pred_size[-1])
                 elif preds:
                     multi.append((i, first, len(pred_pos)))
             self._wf_rows.append(np.array(rows, dtype=np.intp))

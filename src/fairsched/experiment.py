@@ -180,6 +180,9 @@ class ExperimentConfig:
         normalize_igd = doc.get("normalize_igd", True)
         if not isinstance(normalize_igd, bool):
             raise ConfigError(f"normalize_igd must be true or false, got {normalize_igd!r}")
+        output_dir = doc.get("output_dir", "results")
+        if not isinstance(output_dir, str) or not output_dir:
+            raise ConfigError(f"output_dir must be a non-empty string, got {output_dir!r}")
         raw_datasets = doc.get("datasets")
         if raw_datasets == "table2":
             datasets = tuple(
@@ -195,7 +198,7 @@ class ExperimentConfig:
             optimizer=optimizer,
             repetitions=_integer(doc.get("repetitions", 10), "repetitions"),
             seed=seed,
-            output_dir=str(doc.get("output_dir", "results")),
+            output_dir=output_dir,
             resources_path=resources,
             normalize_igd=normalize_igd,
         )

@@ -66,6 +66,7 @@ def generate(spec: GeneratorSpec) -> WorkflowSet:
     spec.validate()
     lo, hi = spec.task_count_range
     rng = np.random.default_rng(spec.seed)
+    jitter_lo, jitter_span = 1 - DATA_SIZE_JITTER, (1 + DATA_SIZE_JITTER) - (1 - DATA_SIZE_JITTER)
     workflows = []
     for g in range(spec.n_workflows):
         wid = f"w{g:03d}"
@@ -79,22 +80,23 @@ def generate(spec: GeneratorSpec) -> WorkflowSet:
             remaining -= width
         workloads = rng.uniform(WORKLOAD_RANGE[0], WORKLOAD_RANGE[1], size=n)
         ids = [f"{wid}-t{i:03d}" for i in range(n)]
-        tasks = [Task(ids[i], wid, float(workloads[i])) for i in range(n)]
-        mean_wl = float(np.mean(workloads))
-        layers: list[list[int]] = []
+        tasks = [Task(tid, wid, wl) for tid, wl in zip(ids, workloads.tolist())]
+        scale = spec.ccr * float(np.mean(workloads))
+        layers: list[range] = []
         cursor = 0
         for width in widths:
-            layers.append(list(range(cursor, cursor + width)))
+            layers.append(range(cursor, cursor + width))
             cursor += width
         edges: list[Edge] = []
         for li in range(1, len(layers)):
             prev = layers[li - 1]
             for ti in layers[li]:
                 k = min(int(rng.integers(1, MAX_PARENTS + 1)), len(prev))
-                parents = sorted(int(p) for p in rng.choice(prev, size=k, replace=False))
+                # offsets into the contiguous layer: rng.choice(prev)'s draws and values
+                parents = sorted((prev[0] + rng.choice(len(prev), size=k, replace=False)).tolist())
                 for p in parents:
-                    ds = spec.ccr * mean_wl * float(rng.uniform(1 - DATA_SIZE_JITTER, 1 + DATA_SIZE_JITTER))
-                    edges.append(Edge(ids[p], ids[ti], ds))
+                    # rng.uniform(lo, hi) draws lo + (hi - lo) * rng.random(), bit for bit
+                    edges.append(Edge(ids[p], ids[ti], scale * (jitter_lo + jitter_span * rng.random())))
         workflows.append(Workflow(wid, tasks, edges))
     return WorkflowSet(workflows)
 

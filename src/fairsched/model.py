@@ -109,6 +109,7 @@ class Workflow:
         # sorted adjacency keeps every downstream iteration deterministic
         self._pred = {k: tuple(sorted(v)) for k, v in pred.items()}
         self._succ = {k: tuple(sorted(v)) for k, v in succ.items()}
+        self._topo: tuple[str, ...] | None = None
 
     def __repr__(self) -> str:
         return f"Workflow({self.id!r}, {len(self.tasks)} tasks, {len(self.edges)} edges)"
@@ -143,12 +144,14 @@ class Workflow:
 
     def predecessors(self, task_id: str) -> tuple[str, ...]:
         """Ids of direct predecessors of task_id, sorted."""
-        self.task(task_id)
+        if task_id not in self._pred:
+            self.task(task_id)  # raises the unknown-task GraphError
         return self._pred[task_id]
 
     def successors(self, task_id: str) -> tuple[str, ...]:
         """Ids of direct successors of task_id, sorted."""
-        self.task(task_id)
+        if task_id not in self._succ:
+            self.task(task_id)  # raises the unknown-task GraphError
         return self._succ[task_id]
 
     def entry_set(self) -> tuple[str, ...]:
@@ -159,8 +162,11 @@ class Workflow:
         """Kahn's algorithm; ties resolved by lexicographically smallest id.
 
         Raises GraphError if the edges contain a cycle. An empty workflow
-        yields an empty list.
+        yields an empty list. The order is computed once; each call returns
+        a fresh list, and a cycle raises on every call.
         """
+        if self._topo is not None:
+            return list(self._topo)
         indegree = {tid: len(p) for tid, p in self._pred.items()}
         ready = [tid for tid, d in indegree.items() if d == 0]
         heapq.heapify(ready)
@@ -175,6 +181,7 @@ class Workflow:
         if len(order) != len(self.tasks):
             stuck = sorted(tid for tid, d in indegree.items() if d > 0)
             raise GraphError(f"workflow {self.id!r} has a cycle involving {stuck}")
+        self._topo = tuple(order)
         return order
 
 

@@ -3,24 +3,29 @@
 Nothing here shares code with the package's algorithms: the simulator is
 event-driven rather than a single decode walk, HEFT is re-derived from its
 textbook description, dominance filtering and IGD are plain double loops,
-and hypervolume is Monte Carlo. Deliberately slow and obvious. Three frozen
+and hypervolume is Monte Carlo. Deliberately slow and obvious. Frozen
 copies of earlier package code pin bit-exact behaviour instead:
 `niche_preserve_lists`, the optimizer's list-based survivor pick (it
 shares normalization and niche association with the package and pins the
 selection loop's picks and random draws), `offspring_slots`, the
 optimizer's per-child tournament, crossover and mutation loop, which the
-batched offspring step must match bit for bit, and `ScalarWalk`, the
+batched offspring step must match bit for bit, `ScalarWalk`, the
 decoder's per-genome walk over plain Python lists, which the
-population-vectorized decoder must match bit for bit.
+population-vectorized decoder must match bit for bit, and the set-up
+loops: `upward_rank_loop`, `heft_alone_loop` and `cheapest_alone_loop`
+(the fairness baselines, float for float), `dfs_cst_scan` (dfs-cst's
+head scan) and `interleave_scan` (the dispatch order's per-turn cluster
+scan).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 
 import numpy as np
 
-from fairsched.model import Edge, Resource, ResourceCatalog, Task, Workflow, WorkflowSet
+from fairsched.model import Edge, GraphError, Resource, ResourceCatalog, Task, Workflow, WorkflowSet
 from fairsched.nsga3 import N_OBJECTIVES, _associate, _normalize
 
 
@@ -364,6 +369,138 @@ def offspring_slots(genes, rank, crowd, rngs, crossover_rate: float, mutation_ra
         for child in crossover(genes[pa], genes[pb], rng, crossover_rate):
             children.append(mutate(child, rng, mutation_rate, n_resources))
     return np.array(children[: len(genes)])
+
+
+# ---------------------------------------------------------------------------
+# frozen set-up loops: baselines, dfs-cst heads and the interleaved order
+
+
+def upward_rank_loop(w: Workflow, catalog: ResourceCatalog) -> dict[str, float]:
+    """Upward rank on the average-cost graph, one method call per lookup."""
+    mean_bw = sum(r.bandwidth for r in catalog) / len(catalog)
+    inv_cu = sum(1.0 / r.cpu_capacity for r in catalog) / len(catalog)
+    rank: dict[str, float] = {}
+    for tid in reversed(w.topological_order()):
+        best = 0.0
+        for s in w.successors(tid):
+            value = w.edge(tid, s).data_size / mean_bw + rank[s]
+            if value > best:
+                best = value
+        rank[tid] = w.task(tid).workload * inv_cu + best
+    return rank
+
+
+def _earliest_slot(timeline, ready: float, duration: float) -> float:
+    start = ready
+    for slot_start, slot_finish in timeline:
+        if start + duration <= slot_start:
+            break
+        if slot_finish > start:
+            start = slot_finish
+    return start
+
+
+def heft_alone_loop(w: Workflow, catalog: ResourceCatalog) -> float:
+    """HEFT alone, gathering every predecessor's transfer once per resource."""
+    rank = upward_rank_loop(w, catalog)
+    order = sorted((t.id for t in w.tasks), key=lambda tid: (-rank[tid], tid))
+    timelines: list[list[tuple[float, float]]] = [[] for _ in catalog]
+    placed: dict[str, tuple[int, float]] = {}
+    for tid in order:
+        task = w.task(tid)
+        best = None
+        for ri, r in enumerate(catalog):
+            ready = 0.0
+            for p in w.predecessors(tid):
+                pr, pf = placed[p]
+                arrival = pf + _transfer(w.edge(p, tid).data_size, catalog[pr], r)
+                if arrival > ready:
+                    ready = arrival
+            et = task.workload / r.cpu_capacity
+            start = _earliest_slot(timelines[ri], ready, et)
+            finish = start + et
+            if best is None or finish < best[2]:
+                best = (ri, start, finish)
+        ri, start, finish = best
+        placed[tid] = (ri, finish)
+        insort(timelines[ri], (start, finish))
+    return max((f for _, f in placed.values()), default=0.0)
+
+
+def cheapest_alone_loop(w: Workflow, catalog: ResourceCatalog) -> float:
+    total = 0.0
+    for t in w.tasks:
+        total += min(t.workload / r.cpu_capacity * r.cost_per_interval / r.billing_interval for r in catalog)
+    return total
+
+
+def dfs_cst_scan(ws: WorkflowSet, catalog: ResourceCatalog) -> list[tuple[str, tuple[str, ...]]]:
+    """dfs-cst's (workflow, members) per cluster, scanning every unclustered
+    id for the next head."""
+    mean_bw = sum(r.bandwidth for r in catalog) / len(catalog)
+    inv_cu = sum(1.0 / r.cpu_capacity for r in catalog) / len(catalog)
+    clusters = []
+    for w in ws.workflows:
+        rank = upward_rank_loop(w, catalog)
+        unclustered = {t.id for t in w.tasks}
+        id_order = sorted(unclustered)
+        while unclustered:
+            head = None
+            best_rank = -1.0
+            for tid in id_order:  # ascending ids, so strict > keeps the smallest on ties
+                if tid in unclustered and rank[tid] > best_rank:
+                    head, best_rank = tid, rank[tid]
+            members = [head]
+            unclustered.remove(head)
+            current = head
+            while True:
+                nxt = None
+                best = -1.0
+                for s in w.successors(current):
+                    if s not in unclustered:
+                        continue
+                    value = w.edge(current, s).data_size / mean_bw + w.task(s).workload * inv_cu
+                    if value > best:
+                        nxt, best = s, value
+                if nxt is None:
+                    break
+                members.append(nxt)
+                unclustered.remove(nxt)
+                current = nxt
+            clusters.append((w.id, tuple(members)))
+    return clusters
+
+
+def interleave_scan(plan, ws: WorkflowSet) -> tuple[str, ...]:
+    """The interleaved order, scanning a workflow's clusters in id order on
+    each of its turns; raises GraphError where order_interleave must."""
+    by_wf: dict[str, list[list]] = {w.id: [] for w in ws.workflows}
+    for c in plan.clusters:
+        if c.workflow_id not in by_wf:
+            raise GraphError(f"cluster {c.id} references unknown workflow {c.workflow_id!r}")
+        by_wf[c.workflow_id].append([c, 0])  # [cluster, next-member index]
+    total = ws.n_tasks
+    if len(plan.task_to_cluster) != total:
+        raise GraphError("plan does not cover the workflow set exactly")
+    emitted: set[str] = set()
+    order: list[str] = []
+    while len(order) < total:
+        progressed = False
+        for w in ws.workflows:
+            for entry in by_wf[w.id]:
+                cluster, i = entry
+                if i >= len(cluster.members):
+                    continue
+                nxt = cluster.members[i]
+                if all(p in emitted for p in w.predecessors(nxt)):
+                    order.append(nxt)
+                    emitted.add(nxt)
+                    entry[1] = i + 1
+                    progressed = True
+                    break
+        if not progressed:
+            raise GraphError("interleaving stalled; plan is inconsistent with the workflow DAGs")
+    return tuple(order)
 
 
 # ---------------------------------------------------------------------------

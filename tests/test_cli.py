@@ -214,6 +214,9 @@ def test_run_non_finite_inputs_exit_2(tmp_path, capsys):
             "dataset 't': ccr must be finite and > 0, got inf",
         ),
         ({"optimizer": {"seed": 4}}, "optimizer.seed is not used"),
+        ({"output_dir": None}, "output_dir must be a non-empty string, got None"),
+        ({"output_dir": 3}, "output_dir must be a non-empty string, got 3"),
+        ({"output_dir": ""}, "output_dir must be a non-empty string, got ''"),
     ],
 )
 def test_run_bad_config_shapes_exit_2(tmp_path, capsys, overrides, named):

@@ -5,6 +5,7 @@ import pytest
 
 from fairsched.clustering import (
     CLUSTERERS,
+    Cluster,
     ClusterPlan,
     cluster_dfs_cst,
     cluster_mdnc,
@@ -16,7 +17,13 @@ from fairsched.clustering import (
 )
 from fairsched.generator import GeneratorSpec, generate
 from fairsched.model import Edge, GraphError, Resource, ResourceCatalog, Task, Workflow, WorkflowSet
-from oracles import dfs_cst_replay_violations, random_catalog, random_workflow_set
+from oracles import (
+    dfs_cst_replay_violations,
+    dfs_cst_scan,
+    interleave_scan,
+    random_catalog,
+    random_workflow_set,
+)
 
 
 def triple_catalog():
@@ -216,9 +223,18 @@ def test_interleave_skips_empty_workflow(unit_catalog):
 
 
 def test_interleave_rejects_mismatched_plan(two_chain_set, diamond_set, unit_catalog):
-    plan = cluster_none(diamond_set)
-    with pytest.raises(GraphError):
-        order_interleave(plan, two_chain_set)
+    """Each inconsistent plan raises GraphError, as the frozen scan does."""
+    plans = {
+        "unknown workflow": cluster_none(diamond_set),
+        "missing task": ClusterPlan([Cluster(0, "w1", ("a", "b")), Cluster(1, "w2", ("x",))]),
+        "stall": ClusterPlan([Cluster(0, "w1", ("b", "a")), Cluster(1, "w2", ("x", "y"))]),
+        "foreign member": ClusterPlan([Cluster(0, "w1", ("a", "b", "x")), Cluster(1, "w2", ("y",))]),
+    }
+    for plan in plans.values():
+        with pytest.raises(GraphError):
+            interleave_scan(plan, two_chain_set)
+        with pytest.raises(GraphError):
+            order_interleave(plan, two_chain_set)
 
 
 def _check_partition(plan, ws):
@@ -259,3 +275,73 @@ def test_chains_collapse_to_single_cluster_for_all_strategies():
     for method in ("dfs-cst", "p2p", "mdnc"):
         plan = make_plan(ws, cat, method)
         assert plan.n_clusters == len(ws), method
+
+
+def _same_order_or_both_raise(plan, ws):
+    """order_interleave and the frozen per-turn scan agree: the same order,
+    or a GraphError from both."""
+    try:
+        expected = interleave_scan(plan, ws)
+    except GraphError:
+        with pytest.raises(GraphError):
+            order_interleave(plan, ws)
+        return False
+    assert order_interleave(plan, ws).order == expected
+    return True
+
+
+@pytest.mark.parametrize("parallelism", [0.05, 0.30, 1.0])
+@pytest.mark.parametrize("n_workflows, task_range", [(5, (10, 20)), (30, (40, 60))])
+def test_interleave_matches_scan(n_workflows, task_range, parallelism):
+    """The ready heap emits the scan's order on ds01-like and ds16-like sets."""
+    ws = generate(GeneratorSpec(n_workflows, task_range, 1000.0, parallelism, seed=n_workflows + int(parallelism * 100)))
+    cat = triple_catalog()
+    for method in CLUSTERERS:
+        assert _same_order_or_both_raise(make_plan(ws, cat, method), ws), method
+
+
+def test_interleave_matches_scan_on_hand_built_plans():
+    """Several clusters of a workflow ready at once, lower ids ready later,
+    chain members that are no successor of the previous member, and plans
+    that stall: random partitions with cluster ids shuffled across workflows."""
+    rng = np.random.default_rng(909)
+    consistent = 0
+    for trial in range(120):
+        ws = random_workflow_set(rng, int(rng.integers(1, 4)), n_lo=1, n_hi=9)
+        chains = []
+        for w in ws.workflows:
+            ids = w.topological_order() if trial % 2 else [str(t) for t in rng.permutation([t.id for t in w.tasks])]
+            n_cuts = min(len(ids) - 1, int(rng.integers(0, 4)))
+            cuts = sorted(rng.choice(np.arange(1, len(ids)), size=n_cuts, replace=False).tolist()) if n_cuts else []
+            for a, b in zip([0] + cuts, cuts + [len(ids)]):
+                chains.append((w.id, tuple(ids[a:b])))
+        order = rng.permutation(len(chains))
+        plan = ClusterPlan([Cluster(i, *chains[j]) for i, j in enumerate(order)])
+        consistent += _same_order_or_both_raise(plan, ws)
+    assert 60 <= consistent < 120  # every topological chaining emits; some shuffled ones stall
+
+
+def test_interleave_one_task_workflows():
+    ws = generate(GeneratorSpec(7, (1, 1), 1.0, 1.0, seed=5))
+    for method in CLUSTERERS:
+        plan = make_plan(ws, triple_catalog(), method)
+        assert _same_order_or_both_raise(plan, ws)
+        assert list(order_interleave(plan, ws)) == [w.tasks[0].id for w in ws.workflows]
+
+
+def test_dfs_cst_matches_head_scan():
+    """Heads come from one sorted pass; the frozen per-head id scan agrees,
+    ties in rank included (identical parallel tasks)."""
+    cat = triple_catalog()
+    tied = Workflow(
+        "tie",
+        [Task(t, "tie", 3.0) for t in ("q1", "p2", "s3", "r0", "t5", "u4")],
+        [Edge("q1", "s3", 1.0), Edge("p2", "r0", 1.0), Edge("q1", "t5", 1.0), Edge("q1", "u4", 1.0)],
+    )
+    sets = [WorkflowSet([tied])]
+    sets += [generate(GeneratorSpec(6, (5, 30), ccr, par, seed=s)) for s, (ccr, par) in enumerate([(0.1, 0.05), (1000.0, 0.3), (1.0, 1.0)])]
+    rng = np.random.default_rng(31)
+    sets += [random_workflow_set(rng, 3) for _ in range(10)]
+    for ws in sets:
+        plan = cluster_dfs_cst(ws, cat)
+        assert [(c.workflow_id, c.members) for c in plan] == dfs_cst_scan(ws, cat)

@@ -8,7 +8,7 @@ import statistics
 import numpy as np
 import pytest
 
-from fairsched.clustering import cluster_none, make_plan, order_interleave, CLUSTERERS
+from fairsched.clustering import CLUSTERERS, Cluster, ClusterPlan, cluster_none, make_plan, order_interleave, upward_rank
 from fairsched.evaluation import (
     Evaluator,
     cheapest_alone,
@@ -24,15 +24,18 @@ from fairsched.evaluation import (
 )
 from fairsched.generator import GeneratorSpec, generate
 from fairsched.io import default_catalog
-from fairsched.model import Edge, Resource, ResourceCatalog, Task, Workflow, WorkflowSet, ensure_valid
+from fairsched.model import Edge, GraphError, Resource, ResourceCatalog, Task, Workflow, WorkflowSet, ensure_valid
 from oracles import (
     ScalarWalk,
+    cheapest_alone_loop,
     event_sim,
     exhaustive_event_orders,
+    heft_alone_loop,
     heft_fixed_assignment_makespan,
     heft_reference,
     random_catalog,
     random_workflow_set,
+    upward_rank_loop,
 )
 
 TOL = 1e-9
@@ -183,6 +186,43 @@ def test_heft_matches_reference_on_random_workflows():
         cat = random_catalog(rng, int(rng.integers(1, 4)))
         w = ws.workflows[0]
         assert heft_alone(w, cat) == pytest.approx(heft_reference(w, cat), rel=1e-9)
+
+
+def _baseline_catalogs(rng):
+    """Unequal bandwidths, two resources of equal speed, and one resource."""
+    yield random_catalog(rng, 4)
+    yield ResourceCatalog(
+        (
+            Resource("slow", 1.0, 3.0, 1.0, 1.0),
+            Resource("twin-a", 2.5, 7.0, 2.0, 0.5),
+            Resource("twin-b", 2.5, 4.0, 1.5, 1.0),
+        )
+    )
+    yield ResourceCatalog((Resource("only", 1.7, 6.0, 1.3, 2.0),))
+    yield default_catalog()
+
+
+def test_baselines_bit_identical_to_frozen_loops():
+    """heft_alone, cheapest_alone and upward_rank give the frozen loops'
+    floats bit for bit, so a reordered float operation fails here."""
+    rng = np.random.default_rng(515)
+    workflows = [w for _ in range(12) for w in random_workflow_set(rng, 2, n_lo=1, n_hi=12).workflows]
+    for ccr, par in ((0.1, 0.05), (1000.0, 0.3), (1.0, 1.0)):
+        workflows += generate(GeneratorSpec(4, (10, 40), ccr, par, seed=int(ccr * 10) + 1)).workflows
+    for cat in _baseline_catalogs(rng):
+        for w in workflows:
+            assert heft_alone(w, cat).hex() == heft_alone_loop(w, cat).hex(), w.id
+            assert cheapest_alone(w, cat).hex() == cheapest_alone_loop(w, cat).hex(), w.id
+            rank, frozen = upward_rank(w, cat), upward_rank_loop(w, cat)
+            assert list(rank) == list(frozen)
+            assert [v.hex() for v in rank.values()] == [v.hex() for v in frozen.values()]
+
+
+def test_evaluator_rejects_plan_missing_a_task(two_chain_set, pair_catalog):
+    plan = ClusterPlan([Cluster(0, "w1", ("a", "b")), Cluster(1, "w2", ("x",))])
+    order = order_interleave(cluster_none(two_chain_set), two_chain_set)
+    with pytest.raises(GraphError, match="plan does not cover"):
+        Evaluator(two_chain_set, pair_catalog, plan, order)
 
 
 def test_heft_single_task_and_chain(pair_catalog):

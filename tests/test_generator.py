@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from fairsched.generator import GeneratorSpec, generate, stable_seed, table2_specs
-from fairsched.io import workflow_set_to_dict
+from fairsched.io import save_native, workflow_set_to_dict
 from fairsched.model import validate
 
 
@@ -45,6 +46,24 @@ def test_determinism_bit_identical():
     assert a == b
     c = json.dumps(workflow_set_to_dict(generate(GeneratorSpec(5, (10, 20), 0.5, 0.3, seed=100))), sort_keys=True)
     assert a != c
+
+
+@pytest.mark.parametrize(
+    "spec, sha256",
+    [
+        (GeneratorSpec(5, (10, 20), 0.1, 0.05, seed=11), "33b16796e2c3755d9c1ae88277f0722412940f1a180cdb681e74538c37cb701c"),
+        (GeneratorSpec(30, (40, 60), 1000.0, 0.30, seed=12), "f906d16511925c616caeb2b06805d49054ca0bf3dac2bfdd517f51bbe58133fb"),
+        # 1-3 tasks at full parallelism: width-1 layers, and parents drawn from a whole layer
+        (GeneratorSpec(8, (1, 3), 1.0, 1.0, seed=13), "50d14131e76dec81dfd97c6d0277ccfc99fe1419333f6d943a28cc73173ea691"),
+        (GeneratorSpec(6, (5, 25), 2.5, 1.0, seed=14), "5dda5e299c6db6ea977428fe01807f5d0ba0945df0c9c46b34129b2b6d62cfbc"),
+    ],
+)
+def test_generated_bytes_are_pinned(tmp_path, spec, sha256):
+    """Generation is part of every stored result: the native-format bytes of
+    these sets must not change, whatever the generator's draws are made with."""
+    path = tmp_path / "set.json"
+    save_native(generate(spec), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 def test_structure_counts_and_widths():

@@ -17,6 +17,7 @@ from fairsched.model import (
     ensure_valid,
     validate,
 )
+from fairsched.clustering import upward_rank
 from oracles import random_workflow
 
 
@@ -35,10 +36,9 @@ def test_predecessors_successors_diamond(diamond):
 
 
 def test_unknown_task_lookup_raises(diamond):
-    with pytest.raises(GraphError):
-        diamond.predecessors("zz")
-    with pytest.raises(GraphError):
-        diamond.task("zz")
+    for lookup in (diamond.predecessors, diamond.successors, diamond.task):
+        with pytest.raises(GraphError, match=r"^workflow 'wf' has no task 'zz'$"):
+            lookup("zz")
     with pytest.raises(GraphError):
         diamond.edge("a", "d")
 
@@ -69,12 +69,22 @@ def test_topological_order_empty():
 def test_topological_order_cycle_raises():
     w = Workflow(
         "cyc",
-        [Task("a", "cyc", 1.0), Task("b", "cyc", 1.0)],
-        [Edge("a", "b", 1.0), Edge("b", "a", 1.0)],
+        [Task("a", "cyc", 1.0), Task("b", "cyc", 1.0), Task("c", "cyc", 1.0)],
+        [Edge("a", "b", 1.0), Edge("b", "c", 1.0), Edge("c", "b", 1.0)],
     )
-    with pytest.raises(GraphError):
-        w.topological_order()
+    for _ in range(2):  # only a successful order is kept, so every call raises
+        with pytest.raises(GraphError, match=r"cycle involving \['b', 'c'\]"):
+            w.topological_order()
     assert any("cycle" in v for v in validate(WorkflowSet([w])))
+
+
+def test_topological_order_is_a_fresh_list(diamond, unit_catalog):
+    first = diamond.topological_order()
+    rank = upward_rank(diamond, unit_catalog)
+    first.reverse()
+    first.append("zz")
+    assert diamond.topological_order() == ["a", "b", "c", "d"]
+    assert upward_rank(diamond, unit_catalog) == rank
 
 
 def test_validate_clean(diamond_set):
