@@ -56,7 +56,7 @@ for tid in order:
 # Per-workflow accounting: slowdown compares against running alone under
 # HEFT, overspending against the cheapest possible per-task placement.
 print("\nworkflow   slowdown  overspending  loss")
-for wl in sched.loss.per_workflow:
+for wl in sched.per_workflow:
     print(f"{wl.workflow_id:<10} {wl.slowdown:8.3f} {wl.overspending:13.3f} {wl.loss:5.3f}")
 
 # The independent checker re-derives every timing rule from the inputs.

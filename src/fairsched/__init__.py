@@ -39,7 +39,6 @@ from .clustering import (
 from .evaluation import (
     Baselines,
     Evaluator,
-    LossReport,
     Placement,
     Schedule,
     WorkflowLoss,
@@ -50,7 +49,6 @@ from .evaluation import (
     exec_cost,
     exec_time,
     heft_alone,
-    loss_report,
     unfairness,
     validate_schedule,
 )

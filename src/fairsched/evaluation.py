@@ -82,13 +82,6 @@ class WorkflowLoss:
 
 
 @dataclass(frozen=True)
-class LossReport:
-    per_workflow: tuple[WorkflowLoss, ...]
-    mean_loss: float
-    unfairness: float
-
-
-@dataclass(frozen=True)
 class Baselines:
     """Per-workflow alone-run yardsticks, fixed per (set, catalog)."""
 
@@ -98,11 +91,14 @@ class Baselines:
 
 @dataclass(frozen=True)
 class Schedule:
+    """A decoded assignment: every task's placement, the three objectives, and
+    the per-workflow losses whose spread is `unfairness`."""
+
     placements: dict[str, Placement]
     makespan: float
     total_cost: float
     unfairness: float
-    loss: LossReport
+    per_workflow: tuple[WorkflowLoss, ...]
 
     @property
     def objectives(self) -> tuple[float, float, float]:
@@ -127,7 +123,7 @@ class Schedule:
                     "slowdown": l.slowdown,
                     "overspending": l.overspending,
                 }
-                for l in self.loss.per_workflow
+                for l in self.per_workflow
             ],
         }
 
@@ -400,21 +396,24 @@ class Evaluator:
         """
         G = self._check_genes(genes)
         _, wf_finish, wf_cost = self._walk(np.atleast_2d(G))
-        out = self._tail(wf_finish, wf_cost)
+        out = self._tail(wf_finish, wf_cost)[0]
         if G.ndim == 1:
             return tuple(out[0].tolist())
         return out
 
-    def _tail(self, wf_finish: np.ndarray, wf_cost: np.ndarray) -> np.ndarray:
+    def _tail(self, wf_finish: np.ndarray, wf_cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(P x 3) objectives from the (workflows x P) finish times and
         costs, as whole-matrix operations: the makespan is a column max, the
         total cost a sum in workflow order, and the losses feed one
-        `unfairness` call."""
+        `unfairness` call. Also returns the (workflows x P) slowdown and
+        overspending those losses are summed from."""
+        slowdown = wf_finish / self._heft
+        overspending = wf_cost / self._cheapest
         out = np.empty((wf_finish.shape[1], 3))
         out[:, 0] = wf_finish.max(axis=0)
         out[:, 1] = np.add.accumulate(wf_cost)[-1]
-        out[:, 2] = unfairness(wf_finish / self._heft + wf_cost / self._cheapest)
-        return out
+        out[:, 2] = unfairness(slowdown + overspending)
+        return out, slowdown, overspending
 
     def decode(self, genes) -> Schedule:
         """Full schedule of one assignment, placements and fairness included."""
@@ -423,14 +422,15 @@ class Evaluator:
             raise ValueError("decode takes one assignment vector")
         st = np.empty((len(self._steps), 1))
         ft, wf_finish, wf_cost = self._walk(G[None, :], st)
-        makespan, total_cost, unfair = self._tail(wf_finish, wf_cost)[0].tolist()
+        out, slowdown, overspending = self._tail(wf_finish, wf_cost)
         res_ids = [r.id for r in self.catalog]
         placements = {
             tid: Placement(res_ids[r], s, f)
             for tid, r, s, f in zip(self._task_ids, G[self._cluster_of].tolist(), st[:, 0].tolist(), ft[:, 0].tolist())
         }
-        report = _loss_report(self.ws, wf_finish[:, 0].tolist(), wf_cost[:, 0].tolist(), self.baselines)
-        return Schedule(placements, makespan, total_cost, unfair, report)
+        columns = (a[:, 0].tolist() for a in (wf_finish, wf_cost, slowdown, overspending))
+        per_workflow = tuple(map(WorkflowLoss, [w.id for w in self.ws.workflows], *columns))
+        return Schedule(placements, *out[0].tolist(), per_workflow)
 
 
 def decode(
@@ -443,35 +443,6 @@ def decode(
 ) -> Schedule:
     """One-shot decode; build an Evaluator directly when decoding many."""
     return Evaluator(ws, catalog, plan, order, baselines).decode(assignment)
-
-
-def loss_report(schedule: Schedule, ws: WorkflowSet, catalog: ResourceCatalog, baselines: Baselines) -> LossReport:
-    """Recompute the fairness report from a schedule's placements alone."""
-    by_res = {r.id: r for r in catalog}
-    finishes: list[float] = []
-    costs: list[float] = []
-    for w in ws.workflows:
-        finish = 0.0
-        cost = 0.0
-        for t in w.tasks:
-            p = schedule.placements[t.id]
-            r = by_res[p.resource_id]
-            finish = max(finish, p.finish)
-            cost += (p.finish - p.start) * r.cost_per_interval / r.billing_interval
-        finishes.append(finish)
-        costs.append(cost)
-    return _loss_report(ws, finishes, costs, baselines)
-
-
-def _loss_report(ws: WorkflowSet, finishes, costs, baselines: Baselines) -> LossReport:
-    """Slowdown and overspending of each workflow, given its co-scheduled
-    makespan and cost, with their mean loss and unfairness."""
-    per_wf = tuple(
-        WorkflowLoss(w.id, f, c, f / baselines.heft_makespan[w.id], c / baselines.cheapest_cost[w.id])
-        for w, f, c in zip(ws.workflows, finishes, costs)
-    )
-    losses = [l.loss for l in per_wf]
-    return LossReport(per_wf, sum(losses) / len(losses), unfairness(losses))
 
 
 def validate_schedule(

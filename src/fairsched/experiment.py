@@ -42,7 +42,9 @@ class ConfigError(Exception):
 
 def _integer(value, name: str) -> int:
     """An integral JSON number; bools and strings are refused, not cast."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -50,7 +52,10 @@ def _integer(value, name: str) -> int:
 def _real(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ConfigError(f"{name} is out of the float range") from None
 
 
 def _optimizer_from_dict(doc) -> OptimizerConfig:
@@ -258,7 +263,7 @@ def _front_rows(rows: list, kinds: str) -> np.ndarray | None:
     return array if array.ndim == 2 and array.dtype.kind in kinds else None
 
 
-def _front_from_dict(doc, where: str) -> Front:
+def _front_from_dict(doc, where: str, n_resources: int) -> Front:
     if not isinstance(doc, dict) or not all(isinstance(doc.get(k), list) for k in ("objectives", "genes")):
         raise wio.FormatError(f"{where}: front must be an object with 'objectives' and 'genes' lists")
     if len(doc["objectives"]) != len(doc["genes"]):
@@ -273,6 +278,8 @@ def _front_from_dict(doc, where: str) -> Front:
     genes = _front_rows(doc["genes"], "iu")
     if genes is None:
         raise wio.FormatError(f"{where}: front genes must be rows of integers of one length")
+    if genes.min() < 0 or genes.max() >= n_resources:
+        raise wio.FormatError(f"{where}: front genes must be resource indices in 0..{n_resources - 1}")
     return Front(tuple(Individual(g, o) for g, o in zip(genes, objectives.astype(float))))
 
 
@@ -280,6 +287,7 @@ _RECORD_FIELDS = ("dataset", "clusterer", "repetition", "seed", "optimizer", "re
 
 
 def load_record(path) -> RunRecord:
+    """A stored run record; a bad field raises FormatError naming the file."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -293,15 +301,20 @@ def load_record(path) -> RunRecord:
         raise wio.FormatError(f"{path}: generator dataset lacks its seed")
     if not isinstance(doc["clusterer"], str):
         raise wio.FormatError(f"{path}: clusterer must be a string, got {doc['clusterer']!r}")
-    return RunRecord(
-        dataset=DatasetSpec.from_dict(doc["dataset"]),
-        clusterer=doc["clusterer"],
-        repetition=_integer(doc["repetition"], "repetition"),
-        seed=_integer(doc["seed"], "seed"),
-        optimizer=_optimizer_from_dict(doc["optimizer"]),
-        catalog=wio.resources_from_dict(doc["resources"], where=str(path)),
-        front=_front_from_dict(doc["front"], str(path)),
-    )
+    if doc["clusterer"] not in CLUSTERERS:
+        raise wio.FormatError(f"{path}: unknown clusterer {doc['clusterer']!r}; choose from {sorted(CLUSTERERS)}")
+    try:
+        dataset = DatasetSpec.from_dict(doc["dataset"])
+        dataset.validate()
+        optimizer = _optimizer_from_dict(doc["optimizer"])
+        optimizer.validate()
+        repetition = _integer(doc["repetition"], "repetition")
+        seed = _integer(doc["seed"], "seed")
+    except (ConfigError, ValueError) as exc:
+        raise wio.FormatError(f"{path}: {exc}") from exc
+    catalog = wio.resources_from_dict(doc["resources"], where=str(path))
+    front = _front_from_dict(doc["front"], str(path), len(catalog))
+    return RunRecord(dataset, doc["clusterer"], repetition, seed, optimizer, catalog, front)
 
 
 def _load_dataset(spec: DatasetSpec, base_dir: Path | None = None) -> WorkflowSet:
@@ -436,9 +449,14 @@ def replay(record_path) -> tuple[Front, bool]:
     record = load_record(record_path)
     ws = ensure_valid(_load_dataset(record.dataset, base_dir=record_path.parent))
     plan = make_plan(ws, record.catalog, record.clusterer)
+    stored = record.front
+    width = len(stored.individuals[0].assignment) if stored else plan.n_clusters
+    if width != plan.n_clusters:
+        raise wio.FormatError(
+            f"{record_path}: front genes have {width} entries, but the rebuilt plan has {plan.n_clusters} clusters"
+        )
     order = order_interleave(plan, ws)
     front = run_with_evaluator(Evaluator(ws, record.catalog, plan, order), record.optimizer)
-    stored = record.front
     matches = len(front) == len(stored) and all(
         a.genes_tuple() == b.genes_tuple() and tuple(a.objectives) == tuple(b.objectives)
         for a, b in zip(front, stored)

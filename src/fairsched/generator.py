@@ -48,6 +48,8 @@ class GeneratorSpec:
             raise ValueError(f"ccr must be finite and > 0, got {self.ccr}")
         if not (0 < self.parallelism_degree <= 1):
             raise ValueError(f"parallelism_degree must be in (0, 1], got {self.parallelism_degree}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def stable_seed(*parts) -> int:

@@ -43,7 +43,10 @@ def _number(mapping, key, where, minimum=None, strict=False):
     value = _require(mapping, key, where)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{where}.{key}: expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise FormatError(f"{where}.{key}: must be finite, got {value}")
     if minimum is not None:

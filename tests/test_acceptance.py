@@ -137,7 +137,7 @@ def test_criterion_2_fairness_identities():
         order = order_interleave(plan, ws)
         sched = Evaluator(ws, catalog, plan, order).decode(genes)
         assert abs(sched.unfairness) <= TOL, (k, sched.unfairness)
-        losses = [l.loss for l in sched.loss.per_workflow]
+        losses = [l.loss for l in sched.per_workflow]
         assert max(losses) - min(losses) <= TOL
 
     rng = np.random.default_rng(77)
@@ -155,7 +155,7 @@ def test_criterion_2_fairness_identities():
             genes = [int(g) for g in rng.integers(0, len(catalog), size=plan.n_clusters)]
             sched = ev.decode(genes)
             direct_losses = []
-            for w, reported in zip(ws.workflows, sched.loss.per_workflow):
+            for w, reported in zip(ws.workflows, sched.per_workflow):
                 assert reported.workflow_id == w.id
                 finishes = [sched.placements[t.id].finish for t in w.tasks]
                 makespan = max(finishes)

@@ -247,6 +247,7 @@ def test_replay_bad_optimizer_block_exit_2(tmp_path, capsys, optimizer, named):
     assert main(["replay", "--record", str(record), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert named in err
+    assert "rep00.json" in err
     assert "Traceback" not in err
 
 
@@ -282,6 +283,24 @@ def _set_front(objectives, genes):
         (_set_front([[1.0, 2.0, 3.0]] * 2, [[0, 1], [0]]), "front genes must be rows of integers of one length"),
         (lambda doc: json.dumps(doc)[:40], "rep00.json: invalid JSON"),
         (lambda doc: {**doc, "dataset": {k: v for k, v in doc["dataset"].items() if k != "seed"}}, "generator dataset lacks its seed"),
+        (lambda doc: {**doc, "repetition": "x"}, "repetition must be an integer, got 'x'"),
+        (lambda doc: {**doc, "seed": 1.5}, "seed must be an integer"),
+        (lambda doc: {**doc, "dataset": 3}, "dataset entries must be JSON objects"),
+        (lambda doc: {**doc, "dataset": {**doc["dataset"], "ccr": "x"}}, "ccr must be a number"),
+        (lambda doc: {**doc, "clusterer": "nope"}, "unknown clusterer 'nope'"),
+        (lambda doc: {**doc, "dataset": {**doc["dataset"], "n_workflows": 0}}, "n_workflows must be >= 1"),
+        (lambda doc: {**doc, "dataset": {**doc["dataset"], "seed": -1}}, "dataset 't': seed must be >= 0"),
+        (lambda doc: {**doc, "optimizer": {**doc["optimizer"], "mutation_rate": 2.0}}, "mutation_rate must be in [0, 1]"),
+        (lambda doc: {**doc, "front": {**doc["front"], "genes": [[6] + g[1:] for g in doc["front"]["genes"]]}},
+         "front genes must be resource indices in 0..5"),
+        (lambda doc: {**doc, "front": {**doc["front"], "genes": [g + [0] for g in doc["front"]["genes"]]}},
+         "front genes have 7 entries, but the rebuilt plan has 6 clusters"),
+        # JSON reads an integer literal beyond the float range as an int that float() refuses
+        (lambda doc: {**doc, "dataset": {**doc["dataset"], "ccr": 10**400}}, "dataset 't': ccr is out of the float range"),
+        (lambda doc: {**doc, "optimizer": {**doc["optimizer"], "crossover_rate": 10**400}},
+         "optimizer.crossover_rate is out of the float range"),
+        (lambda doc: {**doc, "resources": {"resources": [{**doc["resources"]["resources"][0], "cpu": 10**400}]}},
+         "rep00.json.resources[0].cpu: must be finite"),
     ],
 )
 def test_replay_bad_record_schema_exit_2(tmp_path, capsys, edit, named):
@@ -293,6 +312,7 @@ def test_replay_bad_record_schema_exit_2(tmp_path, capsys, edit, named):
     assert main(["replay", "--record", str(record), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert named in err
+    assert "rep00.json" in err
     assert "Traceback" not in err
 
 

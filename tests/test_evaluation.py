@@ -18,11 +18,10 @@ from fairsched.evaluation import (
     exec_cost,
     exec_time,
     heft_alone,
-    loss_report,
     unfairness,
     validate_schedule,
 )
-from fairsched.generator import GeneratorSpec, generate
+from fairsched.generator import GeneratorSpec, generate, table2_specs
 from fairsched.io import default_catalog
 from fairsched.model import Edge, GraphError, Resource, ResourceCatalog, Task, Workflow, WorkflowSet, ensure_valid
 from oracles import (
@@ -116,7 +115,8 @@ def test_decode_pinned_two_workflow_fixture(two_chain_set, pair_catalog):
     assert sched.total_cost == pytest.approx(5.0, abs=TOL)
     # both workflows suffer identically here
     assert sched.unfairness == pytest.approx(0.0, abs=TOL)
-    assert sched.loss.mean_loss == pytest.approx(3.75, abs=TOL)
+    losses = [wl.loss for wl in sched.per_workflow]
+    assert sum(losses) / len(losses) == pytest.approx(3.75, abs=TOL)
     assert validate_schedule(sched, two_chain_set, pair_catalog, plan) == []
 
 
@@ -315,15 +315,10 @@ def test_loss_report_two_single_task_workflows(unit_catalog):
     plan = cluster_none(ws)
     order = order_interleave(plan, ws)
     sched = decode(ws, unit_catalog, plan, order, [0, 0])
-    losses = [l.loss for l in sched.loss.per_workflow]
+    losses = [l.loss for l in sched.per_workflow]
     assert losses == [2.0, 3.0]
-    assert sched.loss.mean_loss == 2.5
+    assert sum(losses) / len(losses) == 2.5
     assert sched.unfairness == 0.5
-    # report recomputed from placements alone agrees
-    baselines = compute_baselines(ws, unit_catalog)
-    again = loss_report(sched, ws, unit_catalog, baselines)
-    assert [l.loss for l in again.per_workflow] == losses
-    assert again.unfairness == sched.unfairness
 
 
 def test_slowdown_is_one_when_alone_on_single_resource(unit_catalog):
@@ -332,9 +327,69 @@ def test_slowdown_is_one_when_alone_on_single_resource(unit_catalog):
     plan = cluster_none(ws)
     order = order_interleave(plan, ws)
     sched = decode(ws, unit_catalog, plan, order, [0, 0])
-    assert sched.loss.per_workflow[0].slowdown == pytest.approx(1.0, abs=TOL)
-    assert sched.loss.per_workflow[0].overspending == pytest.approx(1.0, abs=TOL)
+    assert sched.per_workflow[0].slowdown == pytest.approx(1.0, abs=TOL)
+    assert sched.per_workflow[0].overspending == pytest.approx(1.0, abs=TOL)
     assert sched.unfairness == 0.0
+
+
+# (unfairness, per workflow (id, makespan, cost, slowdown, overspending)) as
+# float.hex, frozen before decode took the losses from the objective tail;
+# each case draws its genes from its own seeded rng.
+FROZEN_LOSSES = {
+    "two-chain": (
+        "0x1.8000000000000p-2",
+        [
+            ("w1", "0x1.4000000000000p+1", "0x1.4000000000000p+1", "0x1.4000000000000p+1", "0x1.4000000000000p+0"),
+            ("w2", "0x1.8000000000000p+1", "0x1.8000000000000p+1", "0x1.8000000000000p+1", "0x1.8000000000000p+0"),
+        ],
+    ),
+    "random": (
+        "0x1.94f7c334b2eddp-2",
+        [
+            ("rw0", "0x1.bf1215c7d8810p+4", "0x1.8cd3e69db7c8bp+4", "0x1.53aea7c680045p+1", "0x1.9c3da7d893360p+0"),
+            ("rw1", "0x1.4d8ee069f9b51p+5", "0x1.7e845637b5bfdp+5", "0x1.0f0b5af325753p+1", "0x1.856564ca3f73fp+0"),
+            ("rw2", "0x1.1e3171d9c9e22p+3", "0x1.bf9afda713ca0p+3", "0x1.411359cad6f75p+1", "0x1.0ab25271d5870p+1"),
+        ],
+    ),
+    "ds01": (
+        "0x1.5795c7d1dad9bp+1",
+        [
+            ("w000", "0x1.c9b1f115d2fa3p+5", "0x1.dc67813ad9b2fp+10", "0x1.ebe492c47c289p+0", "0x1.fffffffffffffp+0"),
+            ("w001", "0x1.844539056480ap+7", "0x1.1c6a749a134c5p+10", "0x1.08daecfe18c33p+3", "0x1.8406003b2ae5dp+0"),
+            ("w002", "0x1.47d64e89c2034p+5", "0x1.1d6617f982b13p+10", "0x1.0000000000000p+1", "0x1.bdb8cdadbe11dp+0"),
+            ("w003", "0x1.d5c816718103dp+5", "0x1.cf28aba82854bp+10", "0x1.03a919efedee5p+1", "0x1.0000000000000p+1"),
+            ("w004", "0x1.71f51ad175bb5p+7", "0x1.30178fcb2c2abp+10", "0x1.d81170d7a1cefp+2", "0x1.8406003b2ae5bp+0"),
+        ],
+    ),
+}
+
+
+def _loss_case(name, two_chain_set, pair_catalog):
+    """(set, catalog, clusterer, rng for the genes) of one frozen case."""
+    if name == "two-chain":
+        return two_chain_set, pair_catalog, "none", np.random.default_rng(1)
+    if name == "random":
+        rng = np.random.default_rng(31)
+        return random_workflow_set(rng, 3, n_lo=3, n_hi=6), random_catalog(rng, 3), "dfs-cst", rng
+    return ensure_valid(generate(table2_specs(0)[0][1])), default_catalog(), "mdnc", np.random.default_rng(7)
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_LOSSES))
+def test_decode_accounts_for_fairness_once(name, two_chain_set, pair_catalog):
+    """decode's per-workflow losses are the ones its unfairness is the spread
+    of, its objectives are objectives() bit for bit, and both are frozen."""
+    ws, cat, clusterer, rng = _loss_case(name, two_chain_set, pair_catalog)
+    plan = make_plan(ws, cat, clusterer)
+    ev = Evaluator(ws, cat, plan, order_interleave(plan, ws))
+    genes = rng.integers(0, len(cat), size=plan.n_clusters).tolist()
+    sched = ev.decode(genes)
+    got = [
+        (wl.workflow_id, wl.makespan.hex(), wl.cost.hex(), wl.slowdown.hex(), wl.overspending.hex())
+        for wl in sched.per_workflow
+    ]
+    assert (sched.unfairness.hex(), got) == FROZEN_LOSSES[name]
+    assert sched.unfairness.hex() == unfairness([wl.loss for wl in sched.per_workflow]).hex()
+    assert [v.hex() for v in sched.objectives] == [v.hex() for v in ev.objectives(genes)]
 
 
 def test_evaluator_rejects_bad_assignments(two_chain_set, pair_catalog):

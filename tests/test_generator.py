@@ -30,6 +30,8 @@ def test_spec_validation():
         GeneratorSpec(1, (5, 10), 0.0, 0.5, 1).validate()
     with pytest.raises(ValueError):
         GeneratorSpec(1, (5, 10), 1.0, 1.5, 1).validate()
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        GeneratorSpec(1, (5, 10), 1.0, 0.5, -1).validate()
     GeneratorSpec(1, (5, 10), 1.0, 1.0, 1).validate()
 
 
