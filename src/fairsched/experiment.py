@@ -21,6 +21,7 @@ import logging
 import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -255,12 +256,16 @@ class RunRecord:
 
 
 def _front_rows(rows: list, kinds: str) -> np.ndarray | None:
-    """A front's rows as a 2-D array of one of the numpy dtype kinds, or None."""
+    """A front's rows as a 2-D array of one of the numpy dtype kinds, or None.
+    JSON true and false are neither numbers nor integers, though numpy reads
+    them as 1 and 0 among numbers."""
     try:
         array = np.array(rows)
     except ValueError:  # rows of unequal length
         return None
-    return array if array.ndim == 2 and array.dtype.kind in kinds else None
+    if array.ndim != 2 or array.dtype.kind not in kinds:
+        return None
+    return None if bool in set(map(type, chain.from_iterable(rows))) else array
 
 
 def _front_from_dict(doc, where: str, n_resources: int) -> Front:
@@ -447,7 +452,10 @@ def replay(record_path) -> tuple[Front, bool]:
     """Re-run a stored record and report whether the front matches exactly."""
     record_path = Path(record_path)
     record = load_record(record_path)
-    ws = ensure_valid(_load_dataset(record.dataset, base_dir=record_path.parent))
+    try:
+        ws = ensure_valid(_load_dataset(record.dataset, base_dir=record_path.parent))
+    except ConfigError as exc:
+        raise ConfigError(f"{record_path}: {exc}") from exc
     plan = make_plan(ws, record.catalog, record.clusterer)
     stored = record.front
     width = len(stored.individuals[0].assignment) if stored else plan.n_clusters

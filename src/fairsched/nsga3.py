@@ -27,11 +27,17 @@ genes written through one mutation mask. It decodes them in one
 matrix, stopping at the split level, and niches over Python lists of open
 members and count buckets of niches.
 
-Determinism: every random decision draws from a generator derived from
-(seed, generation, slot), `SeedSequence(seed, spawn_key=key)` built from
-the seed's 32-bit words assembled once per run, so reruns with one seed
-reproduce the exact front bit for bit, independent of the process hash
-salt.
+Determinism: every random decision draws from a generator keyed by
+(seed, generation, slot), with the state of `SeedSequence(seed,
+spawn_key=key)` word for word, so reruns with one seed reproduce the exact
+front bit for bit, independent of the process hash salt. The key is 0 for
+the initial population, 1 for the first selection, (2, generation, slot)
+for a slot's offspring and (3, generation) for a generation's selection.
+The generators come from the run's pre-mixed `SeedSequence` pool: the
+seed is hashed into it once per run, a generation's key words once per
+generation, and the last key word and the seeding words of all of a
+generation's slots at once, as uint32 arrays. PCG64 seeds itself from
+those words.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .clustering import ClusterPlan, OrderedPlan
 from .evaluation import Baselines, Evaluator
@@ -62,8 +69,8 @@ class OptimizerConfig:
     def validate(self) -> None:
         if self.population < 2:
             raise ValueError(f"population must be >= 2, got {self.population}")
-        if self.generations < 0:
-            raise ValueError(f"generations must be >= 0, got {self.generations}")
+        if not 0 <= self.generations <= 2**32:
+            raise ValueError(f"generations must be in [0, 2**32] (one 32-bit key word each), got {self.generations}")
         for name in ("crossover_rate", "mutation_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -266,7 +273,8 @@ def _select_survivors(objs: np.ndarray, k: int, refs: np.ndarray, rng) -> tuple[
 
 def _tournament(rank: list[int], crowd: list[int], rng) -> int:
     """Binary tournament over population rows: lower rank, then less crowded, then a coin."""
-    i, j = rng.integers(0, len(rank), size=2).tolist()
+    n = len(rank)
+    i, j = rng.integers(0, n), rng.integers(0, n)
     if rank[i] != rank[j]:
         return i if rank[i] < rank[j] else j
     if crowd[i] != crowd[j]:
@@ -279,10 +287,13 @@ def _offspring(
 ) -> np.ndarray:
     """One child per population row, a pair per slot generator in `rngs`.
 
-    Each slot draws, in order: two tournaments; a crossover coin when there
-    are two or more genes, and a cut point when it hits; then for each child
-    a coin per gene when mutation is on, and the resampled genes when a coin
-    hits. An odd population's last slot builds one child, and draws nothing
+    Each slot draws, in order: two tournaments, each two scalar row
+    indices and a coin when they tie (the values and generator state that
+    one `integers(0, n, size=2)` call gives: the 32-bit bounded draws
+    buffer in the bit generator, not in the call); a crossover coin when
+    there are two or more genes, and a cut point when it hits; then for
+    each child a coin per gene when mutation is on, and the resampled genes
+    in one call when a coin hits. An odd population's last slot builds one child, and draws nothing
     for the second. A child takes its first parent's genes before the cut
     and its second parent's from it (no crossover puts the cut at the end),
     with the hit genes replaced; all children are built at once from those
@@ -318,19 +329,110 @@ def _offspring(
     return children
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
 def _seed_words(seed: int) -> list[int]:
     """A nonnegative seed as `SeedSequence` assembles it ahead of a spawn
     key: its 32-bit words, least significant first, zero-padded to 4."""
-    words = [seed & 0xFFFFFFFF]
+    words = [seed & _MASK32]
     while seed := seed >> 32:
-        words.append(seed & 0xFFFFFFFF)
-    return words + [0] * (4 - len(words))
+        words.append(seed & _MASK32)
+    return words + [0] * (_POOL_SIZE - len(words))
 
 
-def _rng(seed_words: list[int], *key: int) -> np.random.Generator:
-    """The generator of `SeedSequence(seed, spawn_key=key)`, from the seed's
-    precomputed `_seed_words`: the same entropy, assembled once per run."""
-    return np.random.default_rng(np.random.SeedSequence(np.array(seed_words + list(key), dtype=np.uint32)))
+def _multipliers(start: int, mult: int, n: int) -> list[int]:
+    """n successive hash multipliers from `start`, each `mult` times the last."""
+    chain = [start]
+    for _ in range(n - 1):
+        chain.append(chain[-1] * mult & _MASK32)
+    return chain
+
+
+def _hashmix(value, hash_const, mult: int = _MULT_A):
+    """numpy's `hashmix`, or with `_MULT_B` one word of `generate_state`:
+    the hashed word and the advanced multiplier. Words and multipliers are
+    Python ints or broadcasting uint32 arrays."""
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ value >> 16, hash_const
+
+
+def _mix(x, y):
+    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return result ^ result >> 16
+
+
+def _absorb(pool: np.ndarray, hash_const: int, word) -> tuple[np.ndarray, int]:
+    """Mix one more entropy word into every pool word, as `SeedSequence`
+    does with the words past its pool size. A uint32 array of n alternative
+    words gives the n pools as rows."""
+    chain = np.array(_multipliers(hash_const, _MULT_A, _POOL_SIZE), dtype=np.uint32)
+    hashed, advanced = _hashmix(np.asarray(word, dtype=np.uint32)[..., None], chain)
+    return _mix(pool, hashed), int(advanced[-1])
+
+
+def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
+    """The `SeedSequence` pool with the seed mixed in, and its multiplier.
+
+    `SeedSequence` hashes the first four entropy words into the pool, mixes
+    every pool word into every other, then absorbs the remaining words one
+    by one. The seed fills the first four words (and a fifth for seeds of
+    2**128 and up) and a spawn key follows it, so this part is the same for
+    every generator of a run."""
+    words = _seed_words(seed)
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        hashed, hash_const = _hashmix(word, hash_const)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], hashed)
+    mixed = np.array(pool, dtype=np.uint32)
+    for word in words[_POOL_SIZE:]:
+        mixed, hash_const = _absorb(mixed, hash_const, word)
+    return mixed, hash_const
+
+
+# `generate_state(4, np.uint64)` hashes the pool words cyclically into 8 uint32 words
+_STATE_MULTS = np.array(_multipliers(_INIT_B, _MULT_B, 2 * _POOL_SIZE), dtype=np.uint32)
+
+
+class _PCG64Words(ISeedSequence):
+    """A seed sequence whose state is already generated: PCG64 asks for
+    `generate_state(4, np.uint64)` once, when it is seeded, and gets these
+    words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("only PCG64's seeding request, generate_state(4, np.uint64), is stored")
+        return self.words
+
+
+def _generators(seeded: tuple[np.ndarray, int], key: tuple[int, ...], last: np.ndarray) -> list[np.random.Generator]:
+    """The generators of `SeedSequence(seed, spawn_key=key + (w,))` for each
+    32-bit word w of `last`, from the run's `_seed_pool`: the key is mixed
+    in once, the last word and the state generation for all w at once."""
+    pool, hash_const = seeded
+    for word in key:
+        pool, hash_const = _absorb(pool, hash_const, word)
+    pool, _ = _absorb(pool, hash_const, last)
+    state, _ = _hashmix(np.tile(pool, 2), _STATE_MULTS, _MULT_B)
+    # numpy reads the uint32 words as little-endian pairs, whatever the host
+    words = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return [np.random.Generator(np.random.PCG64(_PCG64Words(row))) for row in words]
 
 
 def run(
@@ -351,18 +453,21 @@ def run_with_evaluator(evaluator: Evaluator, cfg: OptimizerConfig) -> Front:
     n_res = evaluator.n_resources
     refs = reference_directions(cfg.divisions)
 
-    words = _seed_words(cfg.seed)
-    genes = _rng(words, 0).integers(0, n_res, size=(cfg.population, evaluator.n_clusters))
+    seeded = _seed_pool(cfg.seed)
+    init, select = _generators(seeded, (), np.arange(2))
+    genes = init.integers(0, n_res, size=(cfg.population, evaluator.n_clusters))
     objs = evaluator.objectives(genes)
-    keep, rank, crowd = _select_survivors(objs, cfg.population, refs, _rng(words, 1))
+    keep, rank, crowd = _select_survivors(objs, cfg.population, refs, select)
     genes, objs = genes[keep], objs[keep]
 
+    slots = np.arange((cfg.population + 1) // 2)
     for gen in range(cfg.generations):
-        rngs = (_rng(words, 2, gen, slot) for slot in range((cfg.population + 1) // 2))
+        rngs = _generators(seeded, (2, gen), slots)
         # the children live only in the pool, one gene matrix fewer at the memory peak
         genes = np.concatenate([genes, _offspring(genes, rank, crowd, rngs, cfg, n_res)])
         objs = np.concatenate([objs, evaluator.objectives(genes[len(objs) :])])
-        keep, rank, crowd = _select_survivors(objs, cfg.population, refs, _rng(words, 3, gen))
+        (select,) = _generators(seeded, (3,), np.array([gen]))
+        keep, rank, crowd = _select_survivors(objs, cfg.population, refs, select)
         genes, objs = genes[keep], objs[keep]
 
     # rank 0 is the first front: the last selection kept pool level 0 whole or alone

@@ -301,6 +301,13 @@ def _set_front(objectives, genes):
          "optimizer.crossover_rate is out of the float range"),
         (lambda doc: {**doc, "resources": {"resources": [{**doc["resources"]["resources"][0], "cpu": 10**400}]}},
          "rep00.json.resources[0].cpu: must be finite"),
+        # numpy reads JSON true and false among numbers as 1 and 0
+        (lambda doc: {**doc, "front": {**doc["front"], "genes": [[True] + g[1:] for g in doc["front"]["genes"]]}},
+         "front genes must be rows of integers of one length"),
+        (lambda doc: {**doc, "front": {**doc["front"], "objectives": [[False] + o[1:] for o in doc["front"]["objectives"]]}},
+         "front objectives must be rows of 3 numbers"),
+        (lambda doc: {**doc, "dataset": {"name": "t", "path": "nope.json"}},
+         "rep00.json: dataset 't': file nope.json does not exist"),
     ],
 )
 def test_replay_bad_record_schema_exit_2(tmp_path, capsys, edit, named):

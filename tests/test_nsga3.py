@@ -14,9 +14,11 @@ from fairsched.nsga3 import (
     Front,
     OptimizerConfig,
     _associate,
+    _generators,
     _normalize,
     _offspring,
-    _rng,
+    _PCG64Words,
+    _seed_pool,
     _seed_words,
     _select_survivors,
     niche_preserve,
@@ -25,7 +27,7 @@ from fairsched.nsga3 import (
     run,
     run_with_evaluator,
 )
-from oracles import dominance_filter_naive, niche_preserve_lists, offspring_slots
+from oracles import _rng, dominance_filter_naive, niche_preserve_lists, offspring_slots
 
 
 def naive_sort_levels(points):
@@ -139,7 +141,7 @@ def _children(genes, rngs, crossover_rate=0.0, mutation_rate=0.0, n_resources=5)
 def _pick(a, b):
     """Script of one slot's tournaments: parent a, then parent b, each
     drawn twice (a tie) and kept by a coin of 0.0."""
-    return dict(randoms=[0.0, 0.0], ints=[np.array([a, a]), np.array([b, b])])
+    return dict(randoms=[0.0, 0.0], ints=[a, a, b, b])
 
 
 def _script(slot, randoms=(), ints=()):
@@ -210,15 +212,15 @@ def test_offspring_matches_slot_loop():
     for byte, drawing the same numbers from every slot generator (the
     loop also draws for an odd population's dropped last child)."""
     rng = np.random.default_rng(7)
-    words = _seed_words(2**40 + 3)
+    seed = 2**40 + 3
     cases = itertools.product((2, 3, 7, 92), (1, 2, 60), (0.0, 0.01, 1.0), (0.0, 0.8, 1.0))
     for case, (size, width, mutation_rate, crossover_rate) in enumerate(cases):
         n_res = int(rng.integers(1, 6))
         genes = rng.integers(0, n_res, size=(size, width))
         rank = rng.integers(0, 3, size=size)
         crowd = rng.integers(1, 4, size=size)
-        ours = [_rng(words, 2, case, slot) for slot in range((size + 1) // 2)]
-        theirs = [_rng(words, 2, case, slot) for slot in range((size + 1) // 2)]
+        ours = _generators(_seed_pool(seed), (2, case), np.arange((size + 1) // 2))
+        theirs = [_rng(_seed_words(seed), 2, case, slot) for slot in range((size + 1) // 2)]
         cfg = OptimizerConfig(crossover_rate=crossover_rate, mutation_rate=mutation_rate)
         got = _offspring(genes, rank, crowd, ours, cfg, n_res)
         expected = offspring_slots(genes, rank, crowd, theirs, crossover_rate, mutation_rate, n_res)
@@ -228,17 +230,66 @@ def test_offspring_matches_slot_loop():
         assert [g.bit_generator.state for g in compared] == [g.bit_generator.state for g in theirs[: len(compared)]]
 
 
+def _assert_spawned(got: np.random.Generator, seed: int, key: tuple[int, ...]) -> None:
+    """`got` has the state of `SeedSequence(seed, spawn_key=key)`'s generator
+    and draws what it draws."""
+    expected = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    assert got.bit_generator.state == expected.bit_generator.state, (seed, key)
+    assert got.integers(0, 2**40, size=3).tolist() == expected.integers(0, 2**40, size=3).tolist(), (seed, key)
+    assert got.random() == expected.random(), (seed, key)
+
+
+SPAWN_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**96 + 5, 2**128 + 2**64 + 1, 2**160 - 1]
+
+
 def test_rng_matches_spawned_seed_sequence():
-    """A generator built from precomputed seed words has the state of
-    `SeedSequence(seed, spawn_key=key)`, for seeds of one to five words."""
-    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**96 + 5, 2**128 + 2**64 + 1, 2**160 - 1]
-    keys = [(0,), (1,), (2, 0, 0), (2, 199, 45), (3, 7)]
-    for seed in seeds:
-        words = _seed_words(seed)
-        for key in keys:
-            expected = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-            assert _rng(words, *key).bit_generator.state == expected.bit_generator.state, (seed, key)
-    assert {len(_seed_words(s)) for s in seeds} == {4, 5}
+    """Every generator of the pre-mixed path has the state of numpy's own
+    `SeedSequence(seed, spawn_key=key)`, and draws what it draws: seeds of
+    one to five words, generations up to 2**32 - 1, every slot of 1, 2, 15,
+    46 and 51 slots, and the keys 0, 1 and (3, gen). A numpy release that
+    changes `SeedSequence` arithmetic fails here."""
+    assert {len(_seed_words(s)) for s in SPAWN_SEEDS} == {4, 5}
+    gens = [0, 1, 2, 59, 199, 2**16 + 1, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1]
+    checked = 0
+    for seed in SPAWN_SEEDS:
+        seeded = _seed_pool(seed)
+        for word, got in enumerate(_generators(seeded, (), np.arange(2))):
+            _assert_spawned(got, seed, (word,))
+        for gen, got in zip(gens, _generators(seeded, (3,), np.array(gens))):
+            _assert_spawned(got, seed, (3, gen))
+        for gen, slots in itertools.product(gens, (1, 2, 15, 46, 51)):
+            for slot, got in enumerate(_generators(seeded, (2, gen), np.arange(slots))):
+                _assert_spawned(got, seed, (2, gen, slot))
+                checked += 1
+    assert checked == len(SPAWN_SEEDS) * len(gens) * (1 + 2 + 15 + 46 + 51)
+
+
+def test_pcg64_words_serve_only_pcg64_seeding():
+    words = np.arange(4, dtype=np.uint64)
+    assert _PCG64Words(words).generate_state(4, np.uint64) is words
+    for request in ((4,), (8, np.uint64), (4, np.uint32)):
+        with pytest.raises(ValueError, match="generate_state"):
+            _PCG64Words(words).generate_state(*request)
+
+
+def test_scalar_pair_draws_match_size_two_draw():
+    """Two scalar `integers(0, n)` draws give the values and the final
+    generator state of one `integers(0, n, size=2)` call; `_tournament`
+    relies on it. `random()` draws before and after, and an optional
+    bounded draw ahead, put PCG64's buffered 32-bit half in both states."""
+    bounds = np.random.default_rng(2024)
+    for seed in range(300):
+        for n in (1, 2, 3, 92, 2**31 - 1, 2**31 + 5, int(bounds.integers(1, 2**31 + 6))):
+            for lead in (0, 1):
+                pair, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+                for rng in (pair, scalar):
+                    rng.random()
+                    if lead:
+                        rng.integers(0, 7)
+                got = [scalar.integers(0, n), scalar.integers(0, n)]
+                assert got == pair.integers(0, n, size=2).tolist(), (seed, n, lead)
+                assert scalar.random() == pair.random()
+                assert scalar.bit_generator.state == pair.bit_generator.state, (seed, n, lead)
 
 
 # four mutually nondominated points; corner guard admits the per-objective
@@ -517,6 +568,9 @@ def test_config_validation_rejects_bad_values():
             bad.validate()
     with pytest.raises(ValueError, match="seed must be >= 0"):
         OptimizerConfig(seed=-3).validate()
+    OptimizerConfig(generations=2**32).validate()  # generation words 0 .. 2**32 - 1
+    with pytest.raises(ValueError, match="one 32-bit key word each"):
+        OptimizerConfig(generations=2**32 + 1).validate()
 
 
 def test_front_csv_round_trip(tmp_path):
