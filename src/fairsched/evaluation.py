@@ -38,12 +38,21 @@ import json
 import math
 from bisect import insort
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
 from .clustering import ClusterPlan, OrderedPlan, upward_rank
 from .model import GraphError, Resource, ResourceCatalog, Task, Workflow, WorkflowSet
+
+# Dispatch positions per block of the decode walk. The walk gathers a
+# block's state-independent values as (block x P) matrices, so the block
+# bounds that working set whatever the population P and task count n: an
+# unbounded hoist (n x P) peaked at 11.8 MB in a 100-row call on a
+# 1.5k-task set, against 1.6 MB with blocks of 32. Blocks of 32 to 128
+# time within a few per cent of each other; 32 holds the least.
+_BLOCK = 32
 
 
 def exec_time(task: Task, resource: Resource) -> float:
@@ -238,14 +247,20 @@ class Evaluator:
     """Precomputed decoder for one (set, catalog, plan, order) context.
 
     objectives() decodes a whole population at once: one walk over the
-    global order, each step a fixed number of numpy operations on vectors
-    with one entry per population row, then a tail of whole-matrix
-    operations that turns each workflow's finish time and cost into the
-    three objectives. The per-task tables it reads (exec time and cost per
-    resource, predecessor positions and data sizes, the resource-pair
-    bandwidth table) are built once here. Every float is produced by the
-    same operation, in the same order, as in a per-genome walk with a
-    scalar tail, so results do not depend on how a population is batched.
+    global order, then a tail of whole-matrix operations that turns each
+    workflow's finish time and cost into the three objectives. The walk
+    goes block by block (`_BLOCK` dispatch positions). Per block it gathers
+    everything that does not depend on its state as (block x P) matrices,
+    one entry per population row: each task's resource and res_free slot,
+    its exec time and cost, and the transfer time of each incoming edge.
+    The step per task then does only the work that reads or writes the
+    walk's state: resource availability, predecessor arrivals, the finish
+    time and the workflow's running cost. The tables the gathers read
+    (exec time and cost per resource, one edge list grouped by
+    destination, the resource-pair bandwidth table) are built once here.
+    Every float is produced by the same operation, in the same order, as
+    in a per-genome walk with a scalar tail, so results depend neither on
+    how a population is batched nor on the block size.
     """
 
     def __init__(
@@ -269,17 +284,12 @@ class Evaluator:
         index = {tid: i for i, tid in enumerate(self._task_ids)}
         n = len(self._task_ids)
 
-        # Per task, by dispatch position: its predecessors as (position,
-        # cluster, data size) when it has one, so the walk reads single rows;
-        # several are gathered in one go from the flat arrays below, filled
-        # in after the loop.
+        # Per task, by dispatch position: its workload, workflow, cluster and
+        # predecessors as (position, data size).
         wl = [0.0] * n
         wf_of = [0] * n
         cluster_of = [0] * n
-        pred_of: list = [None] * n
-        multi: list[tuple[int, int, int]] = []  # (task, first, end) in the flat arrays
-        pred_pos: list[int] = []
-        pred_size: list[float] = []
+        preds_of: list = [()] * n
         to_cluster = plan.task_to_cluster
         if not index.keys() <= to_cluster.keys():
             raise GraphError("plan does not cover every task of the set")
@@ -294,39 +304,39 @@ class Evaluator:
                 wl[i] = t.workload
                 wf_of[i] = g
                 cluster_of[i] = to_cluster[tid]
-                preds = predecessors(tid)
-                first = len(pred_pos)
-                for p in preds:
+                preds = []
+                for p in predecessors(tid):
                     pi = index[p]
                     if pi >= i:
                         raise ValueError(f"order is not topological: {p!r} comes after {tid!r}")
-                    pred_pos.append(pi)
-                    pred_size.append(edge(p, tid).data_size)
-                if len(preds) == 1:
-                    pred_of[i] = (pi, to_cluster[preds[0]], pred_size[-1])
-                elif preds:
-                    multi.append((i, first, len(pred_pos)))
+                    preds.append((pi, edge(p, tid).data_size))
+                preds_of[i] = preds
             self._wf_rows.append(np.array(rows, dtype=np.intp))
 
         cu = np.array([r.cpu_capacity for r in catalog], dtype=float)
         bw = np.array([r.bandwidth for r in catalog], dtype=float)
         rate = np.array([r.cost_per_interval / r.billing_interval for r in catalog], dtype=float)
-        exec_tab = np.array(wl, dtype=float)[:, None] / cu  # [task, resource]
-        cost_tab = exec_tab * rate
+        self._exec = np.array(wl, dtype=float)[:, None] / cu  # [position, resource]
+        self._cost = self._exec * rate
         # transfers run over the slower end; an infinite diagonal makes a
         # same-resource transfer ds / inf = 0.0, and ft + 0.0 == ft
         self._link = np.minimum.outer(bw, bw)
         np.fill_diagonal(self._link, np.inf)
-
         self._cluster_of = np.array(cluster_of, dtype=np.intp)
-        pos = np.array(pred_pos, dtype=np.intp)
-        pred_cluster = self._cluster_of[pos]
-        size = np.array(pred_size, dtype=float)[:, None]
-        for i, a, b in multi:
-            pred_of[i] = (pos[a:b], pred_cluster[a:b], size[a:b])
-        # one step per task: (cluster, workflow, predecessors, exec time and
-        # cost per resource)
-        self._steps = list(zip(cluster_of, wf_of, pred_of, exec_tab, cost_tab))
+
+        # One edge list grouped by destination in dispatch order; task i's
+        # incoming edges are _edge_start[i]:_edge_start[i + 1].
+        self._edge_start = list(accumulate(map(len, preds_of), initial=0))
+        pos = np.array([pi for preds in preds_of for pi, _ in preds], dtype=np.intp)
+        self._edge_src_cl = self._cluster_of[pos]
+        self._edge_dst_cl = np.repeat(self._cluster_of, np.diff(self._edge_start))
+        self._edge_size = np.array([ds for preds in preds_of for _, ds in preds], dtype=float)[:, None]
+        # one step per task: (workflow, predecessor position(s), first edge,
+        # end edge); one predecessor is a plain position, several an array
+        self._steps = []
+        for g, preds, e0, e1 in zip(wf_of, preds_of, self._edge_start, self._edge_start[1:]):
+            p = None if not preds else preds[0][0] if len(preds) == 1 else pos[e0:e1]
+            self._steps.append((g, p, e0, e1))
         self._heft = np.array([[self.baselines.heft_makespan[w.id]] for w in ws.workflows])
         self._cheapest = np.array([[self.baselines.cheapest_cost[w.id]] for w in ws.workflows])
 
@@ -364,27 +374,40 @@ class Evaluator:
         """
         n_rows = len(G)
         genes_of = G.T  # genes_of[c] holds cluster c's resource in every row
-        link = self._link
-        slot_base = np.arange(n_rows) * self.n_resources
+        link, steps, edge_start = self._link, self._steps, self._edge_start
+        row_base = np.arange(n_rows) * self.n_resources
         res_free = np.zeros(n_rows * self.n_resources)  # [row, resource], flat
-        ft = np.empty((len(self._steps), n_rows))
+        n = len(steps)
+        ft = np.empty((n, n_rows))
         wf_cost = np.zeros((len(self._heft), n_rows))
-        for i, (c, g, pred, exec_row, cost_row) in enumerate(self._steps):
-            r = genes_of[c]
-            slot = slot_base + r
-            s = res_free[slot]
-            if pred is not None:
-                p, pc, ds = pred
-                arrival = ft.take(p, axis=0) + ds / link[genes_of[pc], r]
-                if arrival.ndim == 2:
-                    arrival = arrival.max(axis=0)
-                np.maximum(s, arrival, out=s)
-            f = ft[i]
-            np.add(s, exec_row[r], out=f)
-            res_free[slot] = f
-            wf_cost[g] += cost_row[r]
-            if st is not None:
-                st[i] = s
+        for a in range(0, n, _BLOCK):
+            b = min(a + _BLOCK, n)
+            # everything that does not depend on the walk's state, as
+            # (block x P) matrices: resources, exec times, costs, flat
+            # res_free slots and each incoming edge's transfer time
+            R = genes_of[self._cluster_of[a:b]]
+            at = np.arange(a, b)[:, None]
+            E = self._exec[at, R]
+            C = self._cost[at, R]
+            slots = R + row_base
+            ea, eb = edge_start[a], edge_start[b]
+            TR = link[genes_of[self._edge_src_cl[ea:eb]], genes_of[self._edge_dst_cl[ea:eb]]]
+            np.divide(self._edge_size[ea:eb], TR, out=TR)
+            for k, (g, p, e0, e1) in enumerate(steps[a:b]):
+                slot = slots[k]
+                s = res_free[slot]
+                if p is not None:
+                    if e1 - e0 == 1:
+                        arrival = ft[p] + TR[e0 - ea]
+                    else:
+                        arrival = (ft.take(p, axis=0) + TR[e0 - ea : e1 - ea]).max(axis=0)
+                    np.maximum(s, arrival, out=s)
+                f = ft[a + k]
+                np.add(s, E[k], out=f)
+                res_free[slot] = f
+                wf_cost[g] += C[k]
+                if st is not None:
+                    st[a + k] = s
         wf_finish = np.array([ft[rows].max(axis=0, initial=0.0) for rows in self._wf_rows])
         return ft, wf_finish, wf_cost
 

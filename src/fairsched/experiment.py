@@ -317,6 +317,10 @@ def load_record(path) -> RunRecord:
         seed = _integer(doc["seed"], "seed")
     except (ConfigError, ValueError) as exc:
         raise wio.FormatError(f"{path}: {exc}") from exc
+    if seed != optimizer.seed:
+        # replay runs with optimizer.seed; a record whose seeds disagree
+        # would replay a run other than the one it names
+        raise wio.FormatError(f"{path}: seed {seed} differs from optimizer.seed {optimizer.seed}")
     catalog = wio.resources_from_dict(doc["resources"], where=str(path))
     front = _front_from_dict(doc["front"], str(path), len(catalog))
     return RunRecord(dataset, doc["clusterer"], repetition, seed, optimizer, catalog, front)

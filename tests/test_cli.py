@@ -285,6 +285,7 @@ def _set_front(objectives, genes):
         (lambda doc: {**doc, "dataset": {k: v for k, v in doc["dataset"].items() if k != "seed"}}, "generator dataset lacks its seed"),
         (lambda doc: {**doc, "repetition": "x"}, "repetition must be an integer, got 'x'"),
         (lambda doc: {**doc, "seed": 1.5}, "seed must be an integer"),
+        (lambda doc: {**doc, "seed": doc["seed"] + 1}, "differs from optimizer.seed"),
         (lambda doc: {**doc, "dataset": 3}, "dataset entries must be JSON objects"),
         (lambda doc: {**doc, "dataset": {**doc["dataset"], "ccr": "x"}}, "ccr must be a number"),
         (lambda doc: {**doc, "clusterer": "nope"}, "unknown clusterer 'nope'"),

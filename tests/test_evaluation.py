@@ -8,6 +8,7 @@ import statistics
 import numpy as np
 import pytest
 
+from fairsched import evaluation
 from fairsched.clustering import CLUSTERERS, Cluster, ClusterPlan, cluster_none, make_plan, order_interleave, upward_rank
 from fairsched.evaluation import (
     Evaluator,
@@ -426,11 +427,40 @@ def _hex(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
+# the walk's block sizes under test: single tasks, blocks smaller than a
+# predecessor list, odd sizes, and the default
+BLOCKS = (1, 2, 3, 7, evaluation._BLOCK)
+
+
+def _assert_matches_scalar_walk(ev, ref, cat, genes, n_decoded):
+    """objectives() on the gene matrix, and on each of the first n_decoded
+    rows as a vector, and decode() of those rows reproduce the scalar walk
+    bit for bit: every objective, and every task's resource, start and
+    finish. Returns the scalar placements of the decoded rows."""
+    res_index = {r.id: ri for ri, r in enumerate(cat)}
+    got = ev.objectives(genes)
+    assert got.shape == (len(genes), 3)
+    assert [_hex(row) for row in got] == [_hex(ref.objectives(row)) for row in genes]
+    wants = []
+    for row in genes[:n_decoded]:
+        assert _hex(ev.objectives(row)) == _hex(ref.objectives(row))
+        sched = ev.decode(row)
+        assert _hex(sched.objectives) == _hex(ref.objectives(row))
+        placed = {
+            tid: (res_index[p.resource_id], p.start.hex(), p.finish.hex())
+            for tid, p in sched.placements.items()
+        }
+        want = {tid: (ri, s.hex(), f.hex()) for tid, (ri, s, f) in ref.placements(row).items()}
+        assert placed == want
+        wants.append(want)
+    return wants
+
+
 @pytest.mark.parametrize("clusterer", sorted(CLUSTERERS))
-def test_batched_decode_matches_scalar_walk(clusterer):
+def test_batched_decode_matches_scalar_walk(clusterer, monkeypatch):
     """objectives() on a gene matrix, objectives() on one vector and
-    decode() reproduce the per-genome scalar walk bit for bit: every
-    objective, and every task's resource, start and finish."""
+    decode() reproduce the per-genome scalar walk bit for bit, at every
+    block size of the walk."""
     rng = np.random.default_rng(2024)
     seen = {"one-task workflow": False, "transfer between unequal links": False, "one resource": False}
     for trial in range(12):
@@ -442,25 +472,15 @@ def test_batched_decode_matches_scalar_walk(clusterer):
         baselines = compute_baselines(ws, cat)
         ev = Evaluator(ws, cat, plan, order, baselines)
         ref = ScalarWalk(ws, cat, plan, order, baselines)
-        res_index = {r.id: ri for ri, r in enumerate(cat)}
         seen["one-task workflow"] |= any(len(w.tasks) == 1 for w in ws.workflows)
         seen["one resource"] |= n_res == 1
         for n_rows in (1, 2, 7, 100):
             genes = rng.integers(0, n_res, size=(n_rows, plan.n_clusters))
             genes[n_rows // 2] = genes[0]  # a duplicated row
-            got = ev.objectives(genes)
-            assert got.shape == (n_rows, 3)
-            assert [_hex(row) for row in got] == [_hex(ref.objectives(row)) for row in genes]
-        for row in genes[:7]:
-            assert _hex(ev.objectives(row)) == _hex(ref.objectives(row))
-            sched = ev.decode(row)
-            assert _hex(sched.objectives) == _hex(ref.objectives(row))
-            placed = {
-                tid: (res_index[p.resource_id], p.start.hex(), p.finish.hex())
-                for tid, p in sched.placements.items()
-            }
-            want = {tid: (ri, s.hex(), f.hex()) for tid, (ri, s, f) in ref.placements(row).items()}
-            assert placed == want
+            for block in BLOCKS:
+                monkeypatch.setattr(evaluation, "_BLOCK", block)
+                wants = _assert_matches_scalar_walk(ev, ref, cat, genes, 7 if n_rows == 100 else 0)
+        for want in wants:
             for w in ws.workflows:
                 for e in w.edges:
                     a, b = cat[want[e.src][0]], cat[want[e.dst][0]]
@@ -468,7 +488,7 @@ def test_batched_decode_matches_scalar_walk(clusterer):
     assert all(seen.values()), seen
 
 
-def test_batched_decode_matches_scalar_walk_on_generated_sets():
+def test_batched_decode_matches_scalar_walk_on_generated_sets(monkeypatch):
     """Generator-shaped sets (layered, many multi-predecessor tasks) on the
     default uniform-bandwidth catalog and on a heterogeneous one. Twelve
     workflows: numpy's pairwise summation can change the total cost's
@@ -483,8 +503,36 @@ def test_batched_decode_matches_scalar_walk_on_generated_sets():
             ev = Evaluator(ws, cat, plan, order, baselines)
             ref = ScalarWalk(ws, cat, plan, order, baselines)
             genes = rng.integers(0, len(cat), size=(30, plan.n_clusters))
-            got = ev.objectives(genes)
-            assert got.tobytes() == np.array([ref.objectives(row) for row in genes]).tobytes()
+            want = np.array([ref.objectives(row) for row in genes]).tobytes()
+            for block in BLOCKS:
+                monkeypatch.setattr(evaluation, "_BLOCK", block)
+                assert ev.objectives(genes).tobytes() == want, block
+
+
+def test_batched_decode_matches_scalar_walk_across_blocks(monkeypatch):
+    """A generated set several default blocks long, so that tasks with
+    several predecessors open blocks and edges cross from one block to a
+    later one: every block size reproduces the scalar walk, for matrices
+    of 1, 2, 30 and 101 rows, single vectors and decoded schedules."""
+    rng = np.random.default_rng(5)
+    ws = ensure_valid(generate(GeneratorSpec(8, (20, 30), 10.0, 0.5, seed=3)))
+    cat = random_catalog(rng, 4)
+    plan = make_plan(ws, cat, "dfs-cst")
+    order = order_interleave(plan, ws)
+    baselines = compute_baselines(ws, cat)
+    ev = Evaluator(ws, cat, plan, order, baselines)
+    ref = ScalarWalk(ws, cat, plan, order, baselines)
+    position = {tid: i for i, tid in enumerate(order.order)}
+    owner = {t.id: w for w in ws.workflows for t in w.tasks}
+    assert ws.n_tasks > 4 * evaluation._BLOCK
+    for block in BLOCKS:
+        opening = [tid for tid, i in position.items() if i % block == 0 and len(owner[tid].predecessors(tid)) > 1]
+        crossing = [e for w in ws.workflows for e in w.edges if position[e.src] // block != position[e.dst] // block]
+        assert opening and crossing, block
+        monkeypatch.setattr(evaluation, "_BLOCK", block)
+        for n_rows in (1, 2, 30, 101):
+            genes = rng.integers(0, len(cat), size=(n_rows, plan.n_clusters))
+            _assert_matches_scalar_walk(ev, ref, cat, genes, 3)
 
 
 def test_evaluator_rejects_non_topological_order(two_chain_set, pair_catalog):

@@ -273,7 +273,7 @@ def test_replay_missing_dataset_file_fails_clearly(tmp_path):
         clusterer="none",
         repetition=0,
         seed=1,
-        optimizer=OptimizerConfig(population=4, generations=1),
+        optimizer=OptimizerConfig(population=4, generations=1, seed=1),
         catalog=default_catalog(),
         front=Front(),
     )

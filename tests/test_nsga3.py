@@ -292,6 +292,28 @@ def test_scalar_pair_draws_match_size_two_draw():
                 assert scalar.bit_generator.state == pair.bit_generator.state, (seed, n, lead)
 
 
+def test_scalar_draws_match_sized_mutation_draw():
+    """k scalar `integers(0, n)` draws give the values and the final
+    generator state of one `integers(0, n, size=k)` call, as mutation's
+    per-child draw makes it for k hits: so mutation could draw its values
+    one by one without changing a stream. Bound 1 draws nothing either
+    way; `random()` draws and an optional bounded draw ahead, as in the
+    pair test above, put PCG64's buffered 32-bit half in both states."""
+    for seed in range(300):
+        for n in (1, 2, 6, 2**31 + 5):
+            for k in range(1, 6):
+                for lead in (0, 1):
+                    sized, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+                    for rng in (sized, scalar):
+                        rng.random()
+                        if lead:
+                            rng.integers(0, 7)
+                    got = [scalar.integers(0, n) for _ in range(k)]
+                    assert got == sized.integers(0, n, size=k).tolist(), (seed, n, k, lead)
+                    assert scalar.random() == sized.random()
+                    assert scalar.bit_generator.state == sized.bit_generator.state, (seed, n, k, lead)
+
+
 # four mutually nondominated points; corner guard admits the per-objective
 # minimizers in objective order, so small-k picks are fully determined
 CORNERS = np.array(
