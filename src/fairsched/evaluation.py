@@ -38,7 +38,6 @@ import json
 import math
 from bisect import insort
 from dataclasses import dataclass
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -48,10 +47,13 @@ from .model import GraphError, Resource, ResourceCatalog, Task, Workflow, Workfl
 
 # Dispatch positions per block of the decode walk. The walk gathers a
 # block's state-independent values as (block x P) matrices, so the block
-# bounds that working set whatever the population P and task count n: an
-# unbounded hoist (n x P) peaked at 11.8 MB in a 100-row call on a
-# 1.5k-task set, against 1.6 MB with blocks of 32. Blocks of 32 to 128
-# time within a few per cent of each other; 32 holds the least.
+# bounds that working set whatever the population P and task count n. On a
+# 1.5k-task set, 32 was the fastest of 16, 32, 64 and 128 at 1 to 100 rows
+# and within 6% of the fastest (16) at 150 rows; 16 was up to 12% slower at
+# 1 row and 128 up to 27% slower at 150 rows. The tracemalloc peak of a
+# 100-row call grows with the block: 2.08 MB at 16, 2.30 MB at 32, 2.67 MB
+# at 64 and 3.44 MB at 128. Of the 2.30 MB, 1.22 MB are the finish times
+# and 0.60 MB the contiguous copy of the genes that the gathers read.
 _BLOCK = 32
 
 
@@ -247,20 +249,26 @@ class Evaluator:
     """Precomputed decoder for one (set, catalog, plan, order) context.
 
     objectives() decodes a whole population at once: one walk over the
-    global order, then a tail of whole-matrix operations that turns each
-    workflow's finish time and cost into the three objectives. The walk
-    goes block by block (`_BLOCK` dispatch positions). Per block it gathers
-    everything that does not depend on its state as (block x P) matrices,
-    one entry per population row: each task's resource and res_free slot,
-    its exec time and cost, and the transfer time of each incoming edge.
-    The step per task then does only the work that reads or writes the
-    walk's state: resource availability, predecessor arrivals, the finish
-    time and the workflow's running cost. The tables the gathers read
-    (exec time and cost per resource, one edge list grouped by
-    destination, the resource-pair bandwidth table) are built once here.
+    global order, then each workflow's finish time and cost, then a tail of
+    whole-matrix operations that turns those into the three objectives.
+    The walk goes block by block (`_BLOCK` dispatch positions). Per block
+    it gathers everything that does not depend on its state as (block x P)
+    matrices, one entry per population row: each task's resource and
+    res_free slot, its exec time, and the transfer time of each incoming
+    edge. Edges whose source lies in an earlier block carry a final finish
+    time, so their arrivals are reduced per block into one data-ready
+    matrix too. The step per task then does only the work that reads or
+    writes the walk's state: it gathers its resource's availability, takes
+    the max with its data-ready row and with the arrivals from predecessors
+    in the same block, adds its exec time and scatters the finish back.
+    Cost does not depend on times, so each workflow's cost is summed after
+    the walk, task by task in dispatch order. The tables the gathers read
+    (flat exec time and cost per position and resource, the edges ordered
+    by block, the resource-pair bandwidth table) are built once here.
     Every float is produced by the same operation, in the same order, as
-    in a per-genome walk with a scalar tail, so results depend neither on
-    how a population is batched nor on the block size.
+    in a per-genome walk with a scalar tail, or by a max, which is exact in
+    any order, so results depend neither on how a population is batched nor
+    on the block size.
     """
 
     def __init__(
@@ -284,17 +292,21 @@ class Evaluator:
         index = {tid: i for i, tid in enumerate(self._task_ids)}
         n = len(self._task_ids)
 
-        # Per task, by dispatch position: its workload, workflow, cluster and
-        # predecessors as (position, data size).
+        # Per task, by dispatch position: its workload, cluster and its run of
+        # incoming edges in the edge lists (first edge, count); per workflow,
+        # its positions; per edge, in workflow order: source position and
+        # data size.
         wl = [0.0] * n
-        wf_of = [0] * n
+        wf_rows = []
         cluster_of = [0] * n
-        preds_of: list = [()] * n
+        first_in = [0] * n
+        n_in = [0] * n
+        src: list[int] = []
+        size: list[float] = []
         to_cluster = plan.task_to_cluster
         if not index.keys() <= to_cluster.keys():
             raise GraphError("plan does not cover every task of the set")
-        self._wf_rows = []
-        for g, w in enumerate(ws.workflows):
+        for w in ws.workflows:
             edge, predecessors = w.edge, w.predecessors
             rows = []
             for t in w.tasks:
@@ -302,43 +314,119 @@ class Evaluator:
                 i = index[tid]
                 rows.append(i)
                 wl[i] = t.workload
-                wf_of[i] = g
                 cluster_of[i] = to_cluster[tid]
-                preds = []
-                for p in predecessors(tid):
+                preds = predecessors(tid)
+                first_in[i] = len(src)
+                n_in[i] = len(preds)
+                for p in preds:
                     pi = index[p]
                     if pi >= i:
                         raise ValueError(f"order is not topological: {p!r} comes after {tid!r}")
-                    preds.append((pi, edge(p, tid).data_size))
-                preds_of[i] = preds
-            self._wf_rows.append(np.array(rows, dtype=np.intp))
+                    src.append(pi)
+                    size.append(edge(p, tid).data_size)
+            wf_rows.append(sorted(rows))
+        # the edges grouped by destination in dispatch order, task i's at
+        # edge_start[i]:edge_start[i + 1]: each task's run moves from its
+        # first edge in the lists to after the runs of the tasks before it
+        n_in = np.array(n_in, dtype=np.intp)
+        edge_start = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(n_in, out=edge_start[1:])
+        by_dst = np.arange(len(src)) + np.repeat(np.array(first_in, dtype=np.intp) - edge_start[:-1], n_in)
 
+        n_res = len(catalog)
         cu = np.array([r.cpu_capacity for r in catalog], dtype=float)
         bw = np.array([r.bandwidth for r in catalog], dtype=float)
         rate = np.array([r.cost_per_interval / r.billing_interval for r in catalog], dtype=float)
-        self._exec = np.array(wl, dtype=float)[:, None] / cu  # [position, resource]
-        self._cost = self._exec * rate
+        exec_ = np.array(wl, dtype=float)[:, None] / cu  # [position, resource]
+        # flat tables, read with take at position * n_res + resource
+        self._exec = exec_.ravel()
+        self._cost = (exec_ * rate).ravel()
+        self._offset = (np.arange(n) * n_res)[:, None]
         # transfers run over the slower end; an infinite diagonal makes a
         # same-resource transfer ds / inf = 0.0, and ft + 0.0 == ft
-        self._link = np.minimum.outer(bw, bw)
-        np.fill_diagonal(self._link, np.inf)
+        link = np.minimum.outer(bw, bw)
+        np.fill_diagonal(link, np.inf)
+        self._link = link.ravel()  # [source resource * n_res + destination resource]
         self._cluster_of = np.array(cluster_of, dtype=np.intp)
-
-        # One edge list grouped by destination in dispatch order; task i's
-        # incoming edges are _edge_start[i]:_edge_start[i + 1].
-        self._edge_start = list(accumulate(map(len, preds_of), initial=0))
-        pos = np.array([pi for preds in preds_of for pi, _ in preds], dtype=np.intp)
-        self._edge_src_cl = self._cluster_of[pos]
-        self._edge_dst_cl = np.repeat(self._cluster_of, np.diff(self._edge_start))
-        self._edge_size = np.array([ds for preds in preds_of for _, ds in preds], dtype=float)[:, None]
-        # one step per task: (workflow, predecessor position(s), first edge,
-        # end edge); one predecessor is a plain position, several an array
-        self._steps = []
-        for g, preds, e0, e1 in zip(wf_of, preds_of, self._edge_start, self._edge_start[1:]):
-            p = None if not preds else preds[0][0] if len(preds) == 1 else pos[e0:e1]
-            self._steps.append((g, p, e0, e1))
+        # per workflow, in dispatch order: its positions, their clusters and
+        # their offsets into the flat tables
+        rows = np.array([i for r in wf_rows for i in r], dtype=np.intp)
+        clusters, offsets = self._cluster_of[rows], self._offset[rows]
+        self._workflows = []
+        a = 0
+        for r in wf_rows:
+            b = a + len(r)
+            self._workflows.append((rows[a:b], clusters[a:b], offsets[a:b]))
+            a = b
+        self._plan_blocks(np.array(src, dtype=np.intp)[by_dst], n_in, edge_start, np.array(size, dtype=float)[by_dst])
         self._heft = np.array([[self.baselines.heft_makespan[w.id]] for w in ws.workflows])
         self._cheapest = np.array([[self.baselines.cheapest_cost[w.id]] for w in ws.workflows])
+
+    def _plan_blocks(self, src: np.ndarray, n_in: np.ndarray, edge_start: np.ndarray, size: np.ndarray) -> None:
+        """Split the walk into blocks of `_BLOCK` dispatch positions and
+        order the edges, which come grouped by destination, for it.
+
+        An edge is carried into its destination's block when its source lies
+        in an earlier block. Within each block's slice of the edges, the
+        carried edges move to the front, each kind still grouped by
+        destination, so each task's edges of one kind are a run. Per block
+        this keeps (first position, end position, first edge, end of the
+        carried edges, end edge, the block rows with carried edges, their
+        runs padded to the block's longest); per task, its in-block
+        predecessor(s) and their edges as a slice of the block's edges, or
+        None.
+        """
+        block = _BLOCK
+        n = len(n_in)
+        firsts = range(0, n, block)
+        dst = np.repeat(np.arange(n), n_in)
+        carried = src < dst - dst % block
+        before = np.zeros(len(src) + 1, dtype=np.intp)  # [edge]: carried edges before it
+        np.cumsum(carried, out=before[1:])
+        bounds = edge_start[[*firsts, n]]  # each block's first edge, and the end
+        at, before_at = bounds[:-1], before[bounds[:-1]]
+        in_block_before = at - before_at  # per block, in-block edges before it
+        carried_through = before[bounds[1:]]  # per block, carried edges up to its end
+        carried_end = at + carried_through - before_at
+        blk = dst // block
+        place = np.where(
+            carried, before[:-1] + in_block_before[blk], np.arange(len(src)) - before[:-1] + carried_through[blk]
+        )
+        order = np.empty_like(place)
+        order[place] = np.arange(len(src))
+        self._edge_src = src[order]
+        self._edge_src_cl = self._cluster_of[self._edge_src]
+        self._edge_dst_cl = self._cluster_of[dst[order]]
+        self._edge_size = size[order][:, None]
+        # per task: its carried edge count, and where its runs of carried and
+        # of in-block edges start in its block's slice
+        own = before[edge_start]
+        n_carried = own[1:] - own[:-1]
+        task_blk = np.arange(n) // block
+        carried_at = own[:-1] - before_at[task_blk]
+        inner_at = (edge_start[:-1] - own[:-1]) - in_block_before[task_blk] + (carried_end - at)[task_blk]
+        # carried runs, padded to the block's longest by repeating their last
+        # edge (max is idempotent), as block rows and edge indices
+        task = np.flatnonzero(n_carried)
+        length = n_carried[task]
+        pad = np.minimum(np.arange(length.max(initial=1)), length[:, None] - 1) + carried_at[task][:, None]
+        cut = [*np.searchsorted(task, firsts).tolist(), len(task)]
+        lengths, rows = length.tolist(), task % block
+        self._blocks = []
+        for j, (a, e0, ec, e1) in enumerate(zip(firsts, at.tolist(), carried_end.tolist(), bounds[1:].tolist())):
+            c0, c1 = cut[j], cut[j + 1]
+            width = max(lengths[c0:c1], default=1)
+            self._blocks.append((a, min(a + block, n), e0, ec, e1, rows[c0:c1], pad[c0:c1, :width]))
+        # in-block runs: per task, its predecessor position(s) and its edges
+        # as a slice of its block's edges; one predecessor is a plain position
+        steps: list = [None] * n
+        n_inner = n_in - n_carried
+        inner = np.flatnonzero(n_inner)
+        edge_src, first = self._edge_src.tolist(), at.tolist()
+        for i, count, i0 in zip(inner.tolist(), n_inner[inner].tolist(), inner_at[inner].tolist()):
+            e0 = first[i // block] + i0
+            steps[i] = (edge_src[e0] if count == 1 else self._edge_src[e0 : e0 + count], i0, i0 + count)
+        self._steps = steps
 
     @property
     def n_clusters(self) -> int:
@@ -365,51 +453,69 @@ class Evaluator:
             raise ValueError(f"resource index {lo if lo < 0 else hi} out of range 0..{self.n_resources - 1}")
         return G.astype(np.intp, copy=False)
 
-    def _walk(self, G: np.ndarray, st: np.ndarray | None = None):
-        """Decode every row of G in one pass over the global order.
+    def _walk(self, genes_of: np.ndarray, st: np.ndarray | None = None) -> np.ndarray:
+        """Decode every row in one pass over the global order.
 
-        Returns the (n_tasks x P) finish times and each workflow's finish
-        time and cost, both (n_workflows x P); fills st, when given, with
-        the start times.
+        genes_of is the (n_clusters x P) contiguous transpose of the gene
+        matrix. Returns the (n_tasks x P) finish times; fills st, when
+        given, with the start times.
         """
-        n_rows = len(G)
-        genes_of = G.T  # genes_of[c] holds cluster c's resource in every row
-        link, steps, edge_start = self._link, self._steps, self._edge_start
-        row_base = np.arange(n_rows) * self.n_resources
-        res_free = np.zeros(n_rows * self.n_resources)  # [row, resource], flat
-        n = len(steps)
-        ft = np.empty((n, n_rows))
-        wf_cost = np.zeros((len(self._heft), n_rows))
-        for a in range(0, n, _BLOCK):
-            b = min(a + _BLOCK, n)
+        n_res = self.n_resources
+        n_rows = genes_of.shape[1]
+        cluster_of, offset, exec_, steps = self._cluster_of, self._offset, self._exec, self._steps
+        edge_src, edge_size = self._edge_src, self._edge_size
+        row_base = np.arange(n_rows) * n_res
+        res_free = np.zeros(n_rows * n_res)  # [row, resource], flat
+        ft = np.empty((len(cluster_of), n_rows))
+        for a, b, e0, ec, e1, rows, pad in self._blocks:
             # everything that does not depend on the walk's state, as
-            # (block x P) matrices: resources, exec times, costs, flat
-            # res_free slots and each incoming edge's transfer time
-            R = genes_of[self._cluster_of[a:b]]
-            at = np.arange(a, b)[:, None]
-            E = self._exec[at, R]
-            C = self._cost[at, R]
+            # (block x P) matrices: resources, flat res_free slots, exec
+            # times, and each incoming edge's transfer time
+            R = genes_of.take(cluster_of[a:b], axis=0)
             slots = R + row_base
-            ea, eb = edge_start[a], edge_start[b]
-            TR = link[genes_of[self._edge_src_cl[ea:eb]], genes_of[self._edge_dst_cl[ea:eb]]]
-            np.divide(self._edge_size[ea:eb], TR, out=TR)
-            for k, (g, p, e0, e1) in enumerate(steps[a:b]):
-                slot = slots[k]
+            E = exec_.take(R + offset[a:b])
+            link = genes_of.take(self._edge_src_cl[e0:e1], axis=0)
+            link *= n_res
+            link += genes_of.take(self._edge_dst_cl[e0:e1], axis=0)
+            TR = np.divide(edge_size[e0:e1], self._link.take(link))
+            # data-ready times over the edges carried in from earlier
+            # blocks, whose finish times are final: max is exact in any
+            # order, and every arrival is >= +0.0, the ready time of a task
+            # without carried edges
+            ready = np.zeros((b - a, n_rows))
+            if ec > e0:
+                arrival = ft.take(edge_src[e0:ec], axis=0)
+                arrival += TR[: ec - e0]
+                ready[rows] = arrival[pad].max(axis=1)
+            for k, (slot, r, e, f, step) in enumerate(zip(slots, ready, E, ft[a:b], steps[a:b])):
                 s = res_free[slot]
-                if p is not None:
-                    if e1 - e0 == 1:
-                        arrival = ft[p] + TR[e0 - ea]
+                np.maximum(s, r, out=s)
+                if step is not None:
+                    p, i0, i1 = step
+                    if i1 - i0 == 1:
+                        arrival = ft[p] + TR[i0]
                     else:
-                        arrival = (ft.take(p, axis=0) + TR[e0 - ea : e1 - ea]).max(axis=0)
+                        arrival = (ft.take(p, axis=0) + TR[i0:i1]).max(axis=0)
                     np.maximum(s, arrival, out=s)
-                f = ft[a + k]
-                np.add(s, E[k], out=f)
+                np.add(s, e, out=f)
                 res_free[slot] = f
-                wf_cost[g] += C[k]
                 if st is not None:
                     st[a + k] = s
-        wf_finish = np.array([ft[rows].max(axis=0, initial=0.0) for rows in self._wf_rows])
-        return ft, wf_finish, wf_cost
+        return ft
+
+    def _workflow_totals(self, genes_of: np.ndarray, ft: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each workflow's finish time and cost, both (n_workflows x P).
+
+        Cost does not depend on times, so it is summed here, not in the
+        walk: each workflow's gathered (tasks x P) cost rows are added one
+        task at a time in dispatch order (`np.add.accumulate`, never the
+        pairwise `np.sum`), the order of a per-genome walk."""
+        finish = np.empty((len(self._workflows), ft.shape[1]))
+        cost = np.empty_like(finish)
+        for g, (rows, clusters, offset) in enumerate(self._workflows):
+            finish[g] = ft.take(rows, axis=0).max(axis=0, initial=0.0)
+            cost[g] = np.add.accumulate(self._cost.take(genes_of.take(clusters, axis=0) + offset), axis=0)[-1]
+        return finish, cost
 
     def objectives(self, genes) -> tuple[float, float, float] | np.ndarray:
         """(makespan, total cost, unfairness) of each assignment.
@@ -418,8 +524,8 @@ class Evaluator:
         assignment vector gives one tuple.
         """
         G = self._check_genes(genes)
-        _, wf_finish, wf_cost = self._walk(np.atleast_2d(G))
-        out = self._tail(wf_finish, wf_cost)[0]
+        genes_of = np.ascontiguousarray(np.atleast_2d(G).T)
+        out = self._tail(*self._workflow_totals(genes_of, self._walk(genes_of)))[0]
         if G.ndim == 1:
             return tuple(out[0].tolist())
         return out
@@ -443,8 +549,10 @@ class Evaluator:
         G = self._check_genes(genes)
         if G.ndim != 1:
             raise ValueError("decode takes one assignment vector")
+        genes_of = np.ascontiguousarray(G[:, None])
         st = np.empty((len(self._steps), 1))
-        ft, wf_finish, wf_cost = self._walk(G[None, :], st)
+        ft = self._walk(genes_of, st)
+        wf_finish, wf_cost = self._workflow_totals(genes_of, ft)
         out, slowdown, overspending = self._tail(wf_finish, wf_cost)
         res_ids = [r.id for r in self.catalog]
         placements = {

@@ -45,6 +45,7 @@ from __future__ import annotations
 import csv
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -369,13 +370,27 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
+@cache
+def _absorb_chain(hash_const: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The uint32 multipliers `_absorb` hashes one word with from hash_const:
+    one per pool word to xor with, the advanced one to multiply by, and the
+    multiplier after them. They do not depend on the data, and a run meets
+    only one hash_const per absorbed word position, so each chain is built
+    once (read-only, as it is shared)."""
+    chain = np.array(_multipliers(hash_const, _MULT_A, _POOL_SIZE + 1), dtype=np.uint32)
+    chain.flags.writeable = False
+    return chain[:-1], chain[1:], int(chain[-1])
+
+
 def _absorb(pool: np.ndarray, hash_const: int, word) -> tuple[np.ndarray, int]:
     """Mix one more entropy word into every pool word, as `SeedSequence`
-    does with the words past its pool size. A uint32 array of n alternative
-    words gives the n pools as rows."""
-    chain = np.array(_multipliers(hash_const, _MULT_A, _POOL_SIZE), dtype=np.uint32)
-    hashed, advanced = _hashmix(np.asarray(word, dtype=np.uint32)[..., None], chain)
-    return _mix(pool, hashed), int(advanced[-1])
+    does with the words past its pool size (`_hashmix` on uint32 arrays,
+    whose products wrap mod 2**32). A uint32 array of n alternative words
+    gives the n pools as rows."""
+    xor, mult, advanced = _absorb_chain(hash_const)
+    hashed = np.asarray(word, dtype=np.uint32)[..., None] ^ xor
+    hashed *= mult
+    return _mix(pool, hashed ^ hashed >> 16), advanced
 
 
 def _seed_pool(seed: int) -> tuple[np.ndarray, int]:

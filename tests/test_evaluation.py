@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 
 from fairsched import evaluation
-from fairsched.clustering import CLUSTERERS, Cluster, ClusterPlan, cluster_none, make_plan, order_interleave, upward_rank
+from fairsched.clustering import (
+    CLUSTERERS,
+    Cluster,
+    ClusterPlan,
+    OrderedPlan,
+    cluster_none,
+    make_plan,
+    order_interleave,
+    upward_rank,
+)
 from fairsched.evaluation import (
     Evaluator,
     cheapest_alone,
@@ -432,6 +441,16 @@ def _hex(values) -> list[str]:
 BLOCKS = (1, 2, 3, 7, evaluation._BLOCK)
 
 
+def _evaluators(monkeypatch, *context) -> dict[int, Evaluator]:
+    """One Evaluator of the context per block size in BLOCKS; the walk's
+    blocks are planned when the Evaluator is built."""
+    evaluators = {}
+    for block in BLOCKS:
+        monkeypatch.setattr(evaluation, "_BLOCK", block)
+        evaluators[block] = Evaluator(*context)
+    return evaluators
+
+
 def _assert_matches_scalar_walk(ev, ref, cat, genes, n_decoded):
     """objectives() on the gene matrix, and on each of the first n_decoded
     rows as a vector, and decode() of those rows reproduce the scalar walk
@@ -470,15 +489,14 @@ def test_batched_decode_matches_scalar_walk(clusterer, monkeypatch):
         plan = make_plan(ws, cat, clusterer)
         order = order_interleave(plan, ws)
         baselines = compute_baselines(ws, cat)
-        ev = Evaluator(ws, cat, plan, order, baselines)
+        evaluators = _evaluators(monkeypatch, ws, cat, plan, order, baselines)
         ref = ScalarWalk(ws, cat, plan, order, baselines)
         seen["one-task workflow"] |= any(len(w.tasks) == 1 for w in ws.workflows)
         seen["one resource"] |= n_res == 1
         for n_rows in (1, 2, 7, 100):
             genes = rng.integers(0, n_res, size=(n_rows, plan.n_clusters))
             genes[n_rows // 2] = genes[0]  # a duplicated row
-            for block in BLOCKS:
-                monkeypatch.setattr(evaluation, "_BLOCK", block)
+            for ev in evaluators.values():
                 wants = _assert_matches_scalar_walk(ev, ref, cat, genes, 7 if n_rows == 100 else 0)
         for want in wants:
             for w in ws.workflows:
@@ -500,12 +518,10 @@ def test_batched_decode_matches_scalar_walk_on_generated_sets(monkeypatch):
             plan = make_plan(ws, cat, clusterer)
             order = order_interleave(plan, ws)
             baselines = compute_baselines(ws, cat)
-            ev = Evaluator(ws, cat, plan, order, baselines)
             ref = ScalarWalk(ws, cat, plan, order, baselines)
             genes = rng.integers(0, len(cat), size=(30, plan.n_clusters))
             want = np.array([ref.objectives(row) for row in genes]).tobytes()
-            for block in BLOCKS:
-                monkeypatch.setattr(evaluation, "_BLOCK", block)
+            for block, ev in _evaluators(monkeypatch, ws, cat, plan, order, baselines).items():
                 assert ev.objectives(genes).tobytes() == want, block
 
 
@@ -520,24 +536,94 @@ def test_batched_decode_matches_scalar_walk_across_blocks(monkeypatch):
     plan = make_plan(ws, cat, "dfs-cst")
     order = order_interleave(plan, ws)
     baselines = compute_baselines(ws, cat)
-    ev = Evaluator(ws, cat, plan, order, baselines)
     ref = ScalarWalk(ws, cat, plan, order, baselines)
     position = {tid: i for i, tid in enumerate(order.order)}
     owner = {t.id: w for w in ws.workflows for t in w.tasks}
     assert ws.n_tasks > 4 * evaluation._BLOCK
-    for block in BLOCKS:
+    for block, ev in _evaluators(monkeypatch, ws, cat, plan, order, baselines).items():
         opening = [tid for tid, i in position.items() if i % block == 0 and len(owner[tid].predecessors(tid)) > 1]
         crossing = [e for w in ws.workflows for e in w.edges if position[e.src] // block != position[e.dst] // block]
         assert opening and crossing, block
-        monkeypatch.setattr(evaluation, "_BLOCK", block)
         for n_rows in (1, 2, 30, 101):
             genes = rng.integers(0, len(cat), size=(n_rows, plan.n_clusters))
             _assert_matches_scalar_walk(ev, ref, cat, genes, 3)
 
 
-def test_evaluator_rejects_non_topological_order(two_chain_set, pair_catalog):
-    from fairsched.clustering import OrderedPlan
+def _walk_cases(ws, order, block) -> set[str]:
+    """The kinds of task and block the walk treats apart, present when the
+    order is cut into blocks of `block` positions. A predecessor is carried
+    when it lies in an earlier block, in-block when it lies in the same."""
+    position = {tid: i for i, tid in enumerate(order.order)}
+    kinds, carried_by_block = set(), {}
+    for w in ws.workflows:
+        for t in w.tasks:
+            i = position[t.id]
+            carried = sum(position[p] // block < i // block for p in w.predecessors(t.id))
+            in_block = len(w.predecessors(t.id)) - carried
+            carried_by_block.setdefault(i // block, []).append(carried)
+            if not in_block:
+                kinds.add({0: "no predecessor", 1: "one carried edge"}.get(carried, "several carried edges"))
+            else:
+                kinds.add("carried and in-block edges" if carried else "in-block edges only")
+    if any(not any(c) for c in carried_by_block.values()):
+        kinds.add("block without carried edges")
+    if any(all(c) for c in carried_by_block.values()):
+        kinds.add("block of carried edges only")
+    return kinds
 
+
+def test_batched_decode_matches_scalar_walk_in_every_walk_case(monkeypatch):
+    """Workflows dispatched one after another, so predecessors often sit in
+    the same block: at every block size the set holds each kind of task and
+    block the walk treats apart (a block of one task has no in-block
+    edges), and the walk reproduces the scalar walk on each."""
+    rng = np.random.default_rng(8)
+    ws = ensure_valid(generate(GeneratorSpec(4, (40, 60), 10.0, 0.3, seed=3)))
+    cat = random_catalog(rng, 4)
+    plan = make_plan(ws, cat, "dfs-cst")
+    order = OrderedPlan(tuple(tid for w in ws.workflows for tid in w.topological_order()))
+    baselines = compute_baselines(ws, cat)
+    ref = ScalarWalk(ws, cat, plan, order, baselines)
+    every = {
+        "one carried edge",
+        "several carried edges",
+        "in-block edges only",
+        "carried and in-block edges",
+        "block without carried edges",
+        "block of carried edges only",
+    }
+    for block, ev in _evaluators(monkeypatch, ws, cat, plan, order, baselines).items():
+        want = every - {"in-block edges only", "carried and in-block edges"} if block == 1 else every
+        assert want <= _walk_cases(ws, order, block), block
+        for n_rows in (1, 2, 30, 101):
+            genes = rng.integers(0, len(cat), size=(n_rows, plan.n_clusters))
+            _assert_matches_scalar_walk(ev, ref, cat, genes, 2)
+
+
+def test_workflow_cost_sums_in_dispatch_order(unit_catalog, monkeypatch):
+    """A workflow's cost adds its tasks' costs one at a time in dispatch
+    order. These costs round differently when summed pairwise (`np.sum`)
+    or in reverse order, so any other order shows in the last bit."""
+    tiny = 2.0**-53  # half an ulp of 1.0
+    w = Workflow("w", [Task("big", "w", 1.0)] + [Task(f"t{k}", "w", tiny) for k in range(10)], [])
+    v = Workflow("v", [Task("v0", "v", 1.0)], [])
+    ws = WorkflowSet([w, v])
+    order = OrderedPlan(("big", "v0", *(f"t{k}" for k in range(10))))
+    costs = [1.0] + [tiny] * 10  # w's costs on the unit catalog, in dispatch order
+    in_order = 0.0
+    for c in costs:
+        in_order += c  # 1.0 + tiny rounds back to 1.0 every time
+    assert len({in_order.hex(), float(np.sum(costs)).hex(), sum(reversed(costs)).hex()}) == 3
+    plan = cluster_none(ws)
+    baselines = compute_baselines(ws, unit_catalog)
+    ref = ScalarWalk(ws, unit_catalog, plan, order, baselines)
+    genes = np.zeros((3, plan.n_clusters), dtype=int)
+    for ev in _evaluators(monkeypatch, ws, unit_catalog, plan, order, baselines).values():
+        assert ev.decode(genes[0]).per_workflow[0].cost.hex() == in_order.hex()
+        _assert_matches_scalar_walk(ev, ref, unit_catalog, genes, 1)
+
+
+def test_evaluator_rejects_non_topological_order(two_chain_set, pair_catalog):
     plan = cluster_none(two_chain_set)
     with pytest.raises(ValueError, match="not topological"):
         Evaluator(two_chain_set, pair_catalog, plan, OrderedPlan(("b", "a", "x", "y")))

@@ -6,28 +6,13 @@ from __future__ import annotations
 import json
 
 import pytest
+from fuzzing import mutated_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairsched.cli import main
 from fairsched.experiment import RunRecord, load_record
 from fairsched.io import FormatError
-
-# JSON values a field may be replaced with, integers beyond every float and
-# machine-integer range included.
-SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers(-10, 10)
-    | st.sampled_from([2**63, 2**64, -(2**63) - 1, 10**400])
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | st.text(max_size=4)
-)
-VALUES = st.recursive(
-    SCALARS,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6,
-)
 
 
 @pytest.fixture(scope="module")
@@ -48,43 +33,12 @@ def record_doc(tmp_path_factory):
     return root, json.loads(path.read_text())
 
 
-def _paths(doc, prefix=()):
-    """The key or index path of every value inside doc."""
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
-    for key, value in items:
-        yield prefix + (key,)
-        yield from _paths(value, prefix + (key,))
-
-
-def _mutate(doc, path, op, value):
-    """A copy of doc with the value at path dropped or replaced."""
-    if not path:
-        return value
-    doc = json.loads(json.dumps(doc))
-    *head, last = path
-    parent = doc
-    for key in head:
-        parent = parent[key]
-    if op == "drop":
-        del parent[last]
-    else:
-        parent[last] = value
-    return doc
-
-
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_mutated_record_loads_or_raises_format_error(record_doc, data):
     root, doc = record_doc
-    for _ in range(data.draw(st.integers(1, 3), label="edits")):
-        paths = [(), *_paths(doc)]
-        path = data.draw(st.sampled_from(paths), label="path")
-        op = data.draw(st.sampled_from(["drop", "replace"]) if path else st.just("replace"), label="op")
-        doc = _mutate(doc, path, op, data.draw(VALUES, label="value") if op == "replace" else None)
-    text = json.dumps(doc)
-    cut = data.draw(st.none() | st.integers(0, len(text)), label="cut")
     target = root / "rep00.json"
-    target.write_text(text if cut is None else text[:cut])
+    target.write_text(mutated_text(data, doc))
     try:
         record = load_record(target)
     except FormatError as exc:
