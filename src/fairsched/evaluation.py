@@ -34,11 +34,9 @@ models a FIFO queue per leased machine).
 from __future__ import annotations
 
 import csv
-import json
 import math
 from bisect import insort
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -114,32 +112,6 @@ class Schedule:
     @property
     def objectives(self) -> tuple[float, float, float]:
         return (self.makespan, self.total_cost, self.unfairness)
-
-    def to_dict(self) -> dict:
-        return {
-            "objectives": {
-                "makespan": self.makespan,
-                "total_cost": self.total_cost,
-                "unfairness": self.unfairness,
-            },
-            "placements": {
-                tid: {"resource": p.resource_id, "start": p.start, "finish": p.finish}
-                for tid, p in sorted(self.placements.items())
-            },
-            "losses": [
-                {
-                    "workflow_id": l.workflow_id,
-                    "makespan": l.makespan,
-                    "cost": l.cost,
-                    "slowdown": l.slowdown,
-                    "overspending": l.overspending,
-                }
-                for l in self.per_workflow
-            ],
-        }
-
-    def save_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
     def gantt_rows(self) -> list[tuple[str, str, float, float]]:
         """(task, resource, start, finish) rows sorted by start then task."""

@@ -222,7 +222,10 @@ def load_config(path, **overrides) -> ExperimentConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(doc, dict):
         doc.update((k, v) for k, v in overrides.items() if v is not None)
-    return ExperimentConfig.from_dict(doc)
+    try:
+        return ExperimentConfig.from_dict(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -424,12 +427,19 @@ def _subdirs(parent: Path, config_order) -> list[Path]:
 def score_stored_runs(runs_dir, out_dir, normalize_igd: bool | None = None) -> Path:
     """Recompute every metric CSV from stored run records (the `eval` verb),
     in the row order and, unless `normalize_igd` is given, with the IGD
-    normalization of the config.json that `run` writes beside runs/."""
+    normalization of the config.json that `run` writes beside runs/. That
+    config must load and validate; its errors name the file."""
     runs_dir = Path(runs_dir)
     if not runs_dir.is_dir():
         raise ConfigError(f"runs directory {runs_dir} does not exist")
     config_path = runs_dir.parent / "config.json"
-    cfg = load_config(config_path) if config_path.is_file() else None
+    cfg = None
+    if config_path.is_file():
+        cfg = load_config(config_path)
+        try:
+            cfg.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"{config_path}: {exc}") from exc
     if normalize_igd is None:
         normalize_igd = cfg.normalize_igd if cfg else True
     out_dir = Path(out_dir)

@@ -33,11 +33,10 @@ spawn_key=key)` word for word, so reruns with one seed reproduce the exact
 front bit for bit, independent of the process hash salt. The key is 0 for
 the initial population, 1 for the first selection, (2, generation, slot)
 for a slot's offspring and (3, generation) for a generation's selection.
-The generators come from the run's pre-mixed `SeedSequence` pool: the
-seed is hashed into it once per run, a generation's key words once per
-generation, and the last key word and the seeding words of all of a
-generation's slots at once, as uint32 arrays. PCG64 seeds itself from
-those words.
+numpy's own `SeedSequence(seed, spawn_key=key[:-1]).pool` holds the seed
+and all but the last key word; the last key word and the seeding words of
+all of a generation's slots are hashed at once, as uint32 arrays, and
+PCG64 seeds itself from those words.
 """
 
 from __future__ import annotations
@@ -330,96 +329,35 @@ def _offspring(
     return children
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx); the
+# uint32 ones make products with uint32 arrays wrap mod 2**32
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-
-
-def _seed_words(seed: int) -> list[int]:
-    """A nonnegative seed as `SeedSequence` assembles it ahead of a spawn
-    key: its 32-bit words, least significant first, zero-padded to 4."""
-    words = [seed & _MASK32]
-    while seed := seed >> 32:
-        words.append(seed & _MASK32)
-    return words + [0] * (_POOL_SIZE - len(words))
-
-
-def _multipliers(start: int, mult: int, n: int) -> list[int]:
-    """n successive hash multipliers from `start`, each `mult` times the last."""
-    chain = [start]
-    for _ in range(n - 1):
-        chain.append(chain[-1] * mult & _MASK32)
-    return chain
-
-
-def _hashmix(value, hash_const, mult: int = _MULT_A):
-    """numpy's `hashmix`, or with `_MULT_B` one word of `generate_state`:
-    the hashed word and the advanced multiplier. Words and multipliers are
-    Python ints or broadcasting uint32 arrays."""
-    value = value ^ hash_const
-    hash_const = hash_const * mult & _MASK32
-    value = value * hash_const & _MASK32
-    return value ^ value >> 16, hash_const
-
-
-def _mix(x, y):
-    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
-    return result ^ result >> 16
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
 @cache
-def _absorb_chain(hash_const: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The uint32 multipliers `_absorb` hashes one word with from hash_const:
-    one per pool word to xor with, the advanced one to multiply by, and the
-    multiplier after them. They do not depend on the data, and a run meets
-    only one hash_const per absorbed word position, so each chain is built
-    once (read-only, as it is shared)."""
-    chain = np.array(_multipliers(hash_const, _MULT_A, _POOL_SIZE + 1), dtype=np.uint32)
+def _multipliers(start: int, mult: int, skip: int, n: int) -> np.ndarray:
+    """Hash multipliers skip to skip + n - 1 of the chain that starts at
+    `start` and advances by `mult`, as uint32. A run meets a few chains
+    only, so each is built once (read-only, as it is shared)."""
+    chain = np.array([start * pow(mult, skip + i, 2**32) % 2**32 for i in range(n)], dtype=np.uint32)
     chain.flags.writeable = False
-    return chain[:-1], chain[1:], int(chain[-1])
+    return chain
 
 
-def _absorb(pool: np.ndarray, hash_const: int, word) -> tuple[np.ndarray, int]:
-    """Mix one more entropy word into every pool word, as `SeedSequence`
-    does with the words past its pool size (`_hashmix` on uint32 arrays,
-    whose products wrap mod 2**32). A uint32 array of n alternative words
-    gives the n pools as rows."""
-    xor, mult, advanced = _absorb_chain(hash_const)
-    hashed = np.asarray(word, dtype=np.uint32)[..., None] ^ xor
-    hashed *= mult
-    return _mix(pool, hashed ^ hashed >> 16), advanced
-
-
-def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
-    """The `SeedSequence` pool with the seed mixed in, and its multiplier.
-
-    `SeedSequence` hashes the first four entropy words into the pool, mixes
-    every pool word into every other, then absorbs the remaining words one
-    by one. The seed fills the first four words (and a fifth for seeds of
-    2**128 and up) and a spawn key follows it, so this part is the same for
-    every generator of a run."""
-    words = _seed_words(seed)
-    hash_const = _INIT_A
-    pool = []
-    for word in words[:_POOL_SIZE]:
-        hashed, hash_const = _hashmix(word, hash_const)
-        pool.append(hashed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], hashed)
-    mixed = np.array(pool, dtype=np.uint32)
-    for word in words[_POOL_SIZE:]:
-        mixed, hash_const = _absorb(mixed, hash_const, word)
-    return mixed, hash_const
+def _hashmix(words: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """numpy's `hashmix` of uint32 words against a multiplier chain: word i
+    of the last axis is xored with chain[i] and multiplied by chain[i + 1]."""
+    hashed = words ^ chain[:-1]
+    hashed *= chain[1:]
+    hashed ^= hashed >> 16
+    return hashed
 
 
 # `generate_state(4, np.uint64)` hashes the pool words cyclically into 8 uint32 words
-_STATE_MULTS = np.array(_multipliers(_INIT_B, _MULT_B, 2 * _POOL_SIZE), dtype=np.uint32)
+_STATE_CHAIN = _multipliers(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE + 1)
 
 
 class _PCG64Words(ISeedSequence):
@@ -436,15 +374,24 @@ class _PCG64Words(ISeedSequence):
         return self.words
 
 
-def _generators(seeded: tuple[np.ndarray, int], key: tuple[int, ...], last: np.ndarray) -> list[np.random.Generator]:
+def _generators(seed: int, key: tuple[int, ...], last: np.ndarray) -> list[np.random.Generator]:
     """The generators of `SeedSequence(seed, spawn_key=key + (w,))` for each
-    32-bit word w of `last`, from the run's `_seed_pool`: the key is mixed
-    in once, the last word and the state generation for all w at once."""
-    pool, hash_const = seeded
-    for word in key:
-        pool, hash_const = _absorb(pool, hash_const, word)
-    pool, _ = _absorb(pool, hash_const, last)
-    state, _ = _hashmix(np.tile(pool, 2), _STATE_MULTS, _MULT_B)
+    32-bit word w of `last`.
+
+    numpy mixes the seed and `key` into `SeedSequence(seed, spawn_key=key)`'s
+    pool; the last word is then absorbed into every pool word, for all w at
+    once, and the 8 state words hashed. Mixing advances the hash multiplier
+    4 times per entropy word, and the seed counts as at least 4 words (a
+    spawn key pads it), so the last word's multipliers follow from the word
+    counts alone. Every key entry is one word: generations are at most
+    2**32 (`OptimizerConfig.validate`)."""
+    pool = np.random.SeedSequence(seed, spawn_key=key).pool
+    seed_words = -(-max(seed.bit_length(), 1) // 32)
+    chain = _multipliers(_INIT_A, _MULT_A, 4 * (max(_POOL_SIZE, seed_words) + len(key)), _POOL_SIZE + 1)
+    hashed = _hashmix(np.asarray(last, dtype=np.uint32)[:, None], chain)
+    mixed = _MIX_MULT_L * pool - _MIX_MULT_R * hashed
+    mixed ^= mixed >> 16
+    state = _hashmix(np.concatenate((mixed, mixed), axis=1), _STATE_CHAIN)
     # numpy reads the uint32 words as little-endian pairs, whatever the host
     words = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
     return [np.random.Generator(np.random.PCG64(_PCG64Words(row))) for row in words]
@@ -468,8 +415,7 @@ def run_with_evaluator(evaluator: Evaluator, cfg: OptimizerConfig) -> Front:
     n_res = evaluator.n_resources
     refs = reference_directions(cfg.divisions)
 
-    seeded = _seed_pool(cfg.seed)
-    init, select = _generators(seeded, (), np.arange(2))
+    init, select = _generators(cfg.seed, (), np.arange(2))
     genes = init.integers(0, n_res, size=(cfg.population, evaluator.n_clusters))
     objs = evaluator.objectives(genes)
     keep, rank, crowd = _select_survivors(objs, cfg.population, refs, select)
@@ -477,11 +423,11 @@ def run_with_evaluator(evaluator: Evaluator, cfg: OptimizerConfig) -> Front:
 
     slots = np.arange((cfg.population + 1) // 2)
     for gen in range(cfg.generations):
-        rngs = _generators(seeded, (2, gen), slots)
+        rngs = _generators(cfg.seed, (2, gen), slots)
         # the children live only in the pool, one gene matrix fewer at the memory peak
         genes = np.concatenate([genes, _offspring(genes, rank, crowd, rngs, cfg, n_res)])
         objs = np.concatenate([objs, evaluator.objectives(genes[len(objs) :])])
-        (select,) = _generators(seeded, (3,), np.array([gen]))
+        (select,) = _generators(cfg.seed, (3,), np.array([gen]))
         keep, rank, crowd = _select_survivors(objs, cfg.population, refs, select)
         genes, objs = genes[keep], objs[keep]
 

@@ -10,8 +10,8 @@ shares normalization and niche association with the package and pins the
 selection loop's picks and random draws), `offspring_slots`, the
 optimizer's per-child tournament, crossover and mutation loop, which the
 batched offspring step must match bit for bit, `_rng`, the optimizer's
-former slot generator built by numpy's own `SeedSequence`, which the
-pre-mixed generator path must match state for state, `ScalarWalk`, the
+slot generator built by numpy's own `SeedSequence`, which the optimizer's
+batched generators must match state for state, `ScalarWalk`, the
 decoder's per-genome walk over plain Python lists, which the
 population-vectorized decoder must match bit for bit, and the set-up
 loops: `upward_rank_loop`, `heft_alone_loop` and `cheapest_alone_loop`
@@ -325,11 +325,10 @@ def niche_preserve_lists(objectives, levels, k: int, refs, rng) -> list[int]:
 # offspring oracle
 
 
-def _rng(seed_words: list[int], *key: int) -> np.random.Generator:
-    """The optimizer's former slot generator: numpy's own
-    `SeedSequence(seed, spawn_key=key)` over the seed's `_seed_words` and
-    the key."""
-    return np.random.default_rng(np.random.SeedSequence(np.array(seed_words + list(key), dtype=np.uint32)))
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    """The optimizer's slot generator as numpy builds it:
+    `SeedSequence(seed, spawn_key=key)`."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def _tournament(rank, crowd, rng) -> int:

@@ -345,6 +345,24 @@ def test_eval_names_record_with_invalid_json(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_eval_refuses_config_beside_runs(tmp_path, capsys):
+    """The config.json beside runs/ must load and validate, as for `run`;
+    the error names the file."""
+    out_dir = tmp_path / "results"
+    assert main(["run", "--config", str(write_config(tmp_path / "config.json", out_dir)), "--quiet"]) == 0
+    stored = out_dir / "config.json"
+    for fields, message in (
+        ({"clusterers": "none"}, "clusterers must be a list of names"),
+        ({"datasets": []}, "no datasets configured"),
+        ({"repetitions": 0, "optimizer": {"population": 1}}, "repetitions must be >= 1"),
+    ):
+        write_config(stored, out_dir, **fields)
+        assert main(["eval", "--runs", str(out_dir / "runs"), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"{stored}: {message}" in err
+        assert "Traceback" not in err
+
+
 def test_eval_missing_runs_exit_2(tmp_path, capsys):
     assert main(["eval", "--runs", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -18,8 +18,6 @@ from fairsched.nsga3 import (
     _normalize,
     _offspring,
     _PCG64Words,
-    _seed_pool,
-    _seed_words,
     _select_survivors,
     niche_preserve,
     nondominated_sort,
@@ -178,16 +176,15 @@ def test_mutate_rate_zero_and_single_resource():
     rng = _script(_pick(0, 1), randoms=[0.5])  # rate 0 draws no mutation coins
     assert (_children(genes, [rng]) == genes).all()
     assert rng.exhausted()
-    words = _seed_words(2)
-    assert (_children(genes, [_rng(words, 0)], mutation_rate=1.0, n_resources=1) == 0).all()
-    out = _children(genes, [_rng(words, 1)], mutation_rate=1.0, n_resources=5)
+    assert (_children(genes, [_rng(2, 0)], mutation_rate=1.0, n_resources=1) == 0).all()
+    out = _children(genes, [_rng(2, 1)], mutation_rate=1.0, n_resources=5)
     assert genes.tolist() == [[0, 0, 0], [0, 0, 0]]  # input untouched
     assert out.shape == genes.shape
 
 
 def test_mutate_hit_rate_statistics():
     genes = np.zeros((2, 4000), dtype=int)
-    out = _children(genes, [_rng(_seed_words(3), 0)], mutation_rate=0.5, n_resources=1000)
+    out = _children(genes, [_rng(3, 0)], mutation_rate=0.5, n_resources=1000)
     # a resample leaves the gene unchanged 1/1000 of the time; ignore that
     changed = (out != genes).mean()
     assert 0.45 < changed < 0.55
@@ -219,8 +216,8 @@ def test_offspring_matches_slot_loop():
         genes = rng.integers(0, n_res, size=(size, width))
         rank = rng.integers(0, 3, size=size)
         crowd = rng.integers(1, 4, size=size)
-        ours = _generators(_seed_pool(seed), (2, case), np.arange((size + 1) // 2))
-        theirs = [_rng(_seed_words(seed), 2, case, slot) for slot in range((size + 1) // 2)]
+        ours = _generators(seed, (2, case), np.arange((size + 1) // 2))
+        theirs = [_rng(seed, 2, case, slot) for slot in range((size + 1) // 2)]
         cfg = OptimizerConfig(crossover_rate=crossover_rate, mutation_rate=mutation_rate)
         got = _offspring(genes, rank, crowd, ours, cfg, n_res)
         expected = offspring_slots(genes, rank, crowd, theirs, crossover_rate, mutation_rate, n_res)
@@ -233,32 +230,30 @@ def test_offspring_matches_slot_loop():
 def _assert_spawned(got: np.random.Generator, seed: int, key: tuple[int, ...]) -> None:
     """`got` has the state of `SeedSequence(seed, spawn_key=key)`'s generator
     and draws what it draws."""
-    expected = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    expected = _rng(seed, *key)
     assert got.bit_generator.state == expected.bit_generator.state, (seed, key)
     assert got.integers(0, 2**40, size=3).tolist() == expected.integers(0, 2**40, size=3).tolist(), (seed, key)
     assert got.random() == expected.random(), (seed, key)
 
 
-SPAWN_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**96 + 5, 2**128 + 2**64 + 1, 2**160 - 1]
+SPAWN_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**96 + 5, 2**128 + 2**64 + 1, 2**160 - 1, 2**160, 2**200 + 7]
 
 
 def test_rng_matches_spawned_seed_sequence():
-    """Every generator of the pre-mixed path has the state of numpy's own
+    """Every batched generator has the state of numpy's own
     `SeedSequence(seed, spawn_key=key)`, and draws what it draws: seeds of
-    one to five words, generations up to 2**32 - 1, every slot of 1, 2, 15,
+    one to seven words, generations up to 2**32 - 1, every slot of 1, 2, 15,
     46 and 51 slots, and the keys 0, 1 and (3, gen). A numpy release that
     changes `SeedSequence` arithmetic fails here."""
-    assert {len(_seed_words(s)) for s in SPAWN_SEEDS} == {4, 5}
     gens = [0, 1, 2, 59, 199, 2**16 + 1, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1]
     checked = 0
     for seed in SPAWN_SEEDS:
-        seeded = _seed_pool(seed)
-        for word, got in enumerate(_generators(seeded, (), np.arange(2))):
+        for word, got in enumerate(_generators(seed, (), np.arange(2))):
             _assert_spawned(got, seed, (word,))
-        for gen, got in zip(gens, _generators(seeded, (3,), np.array(gens))):
+        for gen, got in zip(gens, _generators(seed, (3,), np.array(gens))):
             _assert_spawned(got, seed, (3, gen))
         for gen, slots in itertools.product(gens, (1, 2, 15, 46, 51)):
-            for slot, got in enumerate(_generators(seeded, (2, gen), np.arange(slots))):
+            for slot, got in enumerate(_generators(seed, (2, gen), np.arange(slots))):
                 _assert_spawned(got, seed, (2, gen, slot))
                 checked += 1
     assert checked == len(SPAWN_SEEDS) * len(gens) * (1 + 2 + 15 + 46 + 51)
@@ -559,7 +554,7 @@ def test_run_improves_on_initial_population():
     ws, catalog, plan, order = _tiny_problem()
     cfg = OptimizerConfig(population=6, generations=10, seed=99)
     ev = Evaluator(ws, catalog, plan, order)
-    init = _rng(_seed_words(cfg.seed), 0).integers(0, 2, size=(cfg.population, plan.n_clusters))
+    init = _rng(cfg.seed, 0).integers(0, 2, size=(cfg.population, plan.n_clusters))
     init_best = np.array([ev.objectives(init[i]) for i in range(cfg.population)]).min(axis=0)
     front = run(ws, catalog, plan, order, cfg)
     final_best = front.objectives_array().min(axis=0)
