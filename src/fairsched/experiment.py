@@ -8,10 +8,14 @@ self-contained run record (dataset definition, catalog, optimizer config,
 seed, final front) plus a front CSV. Metrics are then scored per dataset
 against the union reference of all its fronts and written as CSV reports.
 
+Datasets run in worker processes, one dataset per task: a worker sets the
+dataset up, runs all its clusterers and repetitions and writes their files,
+and the parent scores the returned fronts in config order.
+
 Determinism: two invocations with the same config produce bit-identical
-result trees. For that reason wall-clock durations are logged but never
-written into result files, and nothing iterates over unordered sets when
-producing output.
+result trees, whatever the number of workers. For that reason wall-clock
+durations are logged but never written into result files, and nothing
+iterates over unordered sets when producing output.
 """
 
 from __future__ import annotations
@@ -19,8 +23,10 @@ from __future__ import annotations
 import json
 import logging
 import numbers
+import os
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -210,9 +216,28 @@ class ExperimentConfig:
         )
 
 
-def load_config(path, **overrides) -> ExperimentConfig:
-    """Parse a config file. Each non-None override replaces the document's
-    top-level field of that name before parsing, as if the file held it."""
+def _parsed(doc) -> ExperimentConfig:
+    cfg = ExperimentConfig.from_dict(doc)
+    cfg.validate()
+    return cfg
+
+
+def _parses(doc) -> bool:
+    try:
+        _parsed(doc)
+    except ConfigError:
+        return False
+    return True
+
+
+def load_config(path, *, labels=None, **overrides) -> ExperimentConfig:
+    """Parse and validate a config file. Each non-None override then replaces
+    the document's top-level field of that name, as if the file held it.
+
+    An error in the file alone names the file. An error that only the
+    overrides bring about names the overrides that bring it about on their
+    own (all of them if none does), each by its entry in `labels`, such as
+    the command-line option that set it, or else by its field name."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -220,12 +245,19 @@ def load_config(path, **overrides) -> ExperimentConfig:
         raise ConfigError(f"config file {path} does not exist") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if isinstance(doc, dict):
-        doc.update((k, v) for k, v in overrides.items() if v is not None)
     try:
-        return ExperimentConfig.from_dict(doc)
+        cfg = _parsed(doc)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    given = {k: v for k, v in overrides.items() if v is not None}
+    if not given:
+        return cfg
+    try:
+        return _parsed({**doc, **given})
+    except ConfigError as exc:
+        culprits = [k for k, v in given.items() if not _parses({**doc, k: v})] or list(given)
+        names = ", ".join((labels or {}).get(k, k) for k in culprits)
+        raise ConfigError(f"{names}: {exc}") from exc
 
 
 @dataclass
@@ -349,8 +381,67 @@ def _resolve_catalog(cfg: ExperimentConfig) -> ResourceCatalog:
     return wio.load_resources(path)
 
 
-def run_experiment(cfg: ExperimentConfig) -> Path:
+def _available_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(jobs: int | None, n_datasets: int, cpus: int) -> int:
+    """Worker processes for an experiment: `jobs` (default: every CPU), at
+    most one per CPU and one per dataset."""
+    if jobs is not None and (isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1):
+        raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
+    return min(jobs or cpus, cpus, n_datasets)
+
+
+def _run_dataset(cfg: ExperimentConfig, catalog: ResourceCatalog, out: Path, ds: DatasetSpec) -> dict[str, list[np.ndarray]]:
+    """Every run of one dataset: set it up, run each clusterer's repetitions,
+    write their records and front CSVs; return the fronts by clusterer."""
+    ws = ensure_valid(_load_dataset(ds))
+    if ds.generator is not None:
+        wio.save_native(ws, out / "datasets" / f"{ds.name}.json")
+    baselines = compute_baselines(ws, catalog)
+    fronts_by_algorithm: dict[str, list[np.ndarray]] = {}
+    for clusterer in cfg.clusterers:
+        plan = make_plan(ws, catalog, clusterer)
+        order = order_interleave(plan, ws)
+        evaluator = Evaluator(ws, catalog, plan, order, baselines)
+        run_dir = out / "runs" / ds.name / clusterer
+        run_dir.mkdir(parents=True, exist_ok=True)
+        fronts: list[np.ndarray] = []
+        for rep in range(cfg.repetitions):
+            seed = stable_seed(cfg.seed, ds.name, clusterer, rep)
+            opt = replace(cfg.optimizer, seed=seed)
+            started = time.perf_counter()
+            front = run_with_evaluator(evaluator, opt)
+            elapsed = time.perf_counter() - started
+            record = RunRecord(ds, clusterer, rep, seed, opt, catalog, front)
+            record.save(run_dir / f"rep{rep:02d}.json")
+            front.to_csv(run_dir / f"rep{rep:02d}_front.csv")
+            fronts.append(front.objectives_array())
+            log.info(
+                "%s / %s / rep %d: %d front points, %.2fs",
+                ds.name, clusterer, rep, len(front), elapsed,
+            )
+        fronts_by_algorithm[clusterer] = fronts
+    return fronts_by_algorithm
+
+
+def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> Path:
     """Run every (dataset, clusterer, repetition), then score the fronts.
+
+    Datasets run in `jobs` worker processes (default: one per available
+    CPU), never more than there are CPUs or datasets; with one worker they
+    run in this process. Every run has its own seed and the metrics are
+    written in config order, so the tree is the same for any `jobs`. If
+    datasets fail, the first failure in config order is raised, as with one
+    worker, and no worker outlives the call. Worker processes are started
+    the platform's default way; a script that calls this with more than one
+    worker must guard its top level with `if __name__ == "__main__":` where
+    that way is not fork.
 
     Returns the output directory. Layout:
 
@@ -364,6 +455,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         metrics/rdi.csv                  wide RDI table
     """
     cfg.validate()
+    workers = _worker_count(jobs, len(cfg.datasets), _available_cpus())
     catalog = _resolve_catalog(cfg)
     out = Path(cfg.output_dir)
     (out / "datasets").mkdir(parents=True, exist_ok=True)
@@ -371,36 +463,28 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     (out / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2) + "\n")
     wio.save_resources(catalog, out / "resources.json")
 
-    fronts_by_dataset: dict[str, dict[str, list[np.ndarray]]] = {}
-    for ds in cfg.datasets:
-        ws = ensure_valid(_load_dataset(ds))
-        if ds.generator is not None:
-            wio.save_native(ws, out / "datasets" / f"{ds.name}.json")
-        baselines = compute_baselines(ws, catalog)
-        fronts_by_algorithm: dict[str, list[np.ndarray]] = {}
-        for clusterer in cfg.clusterers:
-            plan = make_plan(ws, catalog, clusterer)
-            order = order_interleave(plan, ws)
-            evaluator = Evaluator(ws, catalog, plan, order, baselines)
-            run_dir = out / "runs" / ds.name / clusterer
-            run_dir.mkdir(parents=True, exist_ok=True)
-            fronts: list[np.ndarray] = []
-            for rep in range(cfg.repetitions):
-                seed = stable_seed(cfg.seed, ds.name, clusterer, rep)
-                opt = replace(cfg.optimizer, seed=seed)
-                started = time.perf_counter()
-                front = run_with_evaluator(evaluator, opt)
-                elapsed = time.perf_counter() - started
-                record = RunRecord(ds, clusterer, rep, seed, opt, catalog, front)
-                record.save(run_dir / f"rep{rep:02d}.json")
-                front.to_csv(run_dir / f"rep{rep:02d}_front.csv")
-                fronts.append(front.objectives_array())
-                log.info(
-                    "%s / %s / rep %d: %d front points, %.2fs",
-                    ds.name, clusterer, rep, len(front), elapsed,
-                )
-            fronts_by_algorithm[clusterer] = fronts
-        fronts_by_dataset[ds.name] = fronts_by_algorithm
+    run_one = partial(_run_dataset, cfg, catalog, out)
+    if workers == 1:
+        results = list(map(run_one, cfg.datasets))
+    else:
+        # imported here: multiprocessing adds about 0.9 MB to every process
+        # that imports it, and most users of this module never start a pool
+        from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+
+        pool = ProcessPoolExecutor(workers)
+        try:
+            futures = [pool.submit(run_one, ds) for ds in cfg.datasets]
+            wait(futures, return_when=FIRST_EXCEPTION)
+            # After a failure only the datasets before it still matter: one
+            # of them may fail too, and the first failure in config order is
+            # the one to report. Later ones not yet in a worker never start.
+            first_failed = next((i for i, f in enumerate(futures) if f.done() and f.exception()), len(futures))
+            for future in futures[first_failed + 1:]:
+                future.cancel()
+            results = [future.result() for future in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
+    fronts_by_dataset = {ds.name: fronts for ds, fronts in zip(cfg.datasets, results)}
     _write_metrics(fronts_by_dataset, cfg.normalize_igd, out / "metrics")
     return out
 
@@ -436,10 +520,6 @@ def score_stored_runs(runs_dir, out_dir, normalize_igd: bool | None = None) -> P
     cfg = None
     if config_path.is_file():
         cfg = load_config(config_path)
-        try:
-            cfg.validate()
-        except ConfigError as exc:
-            raise ConfigError(f"{config_path}: {exc}") from exc
     if normalize_igd is None:
         normalize_igd = cfg.normalize_igd if cfg else True
     out_dir = Path(out_dir)

@@ -399,14 +399,16 @@ def test_criterion_7_bit_identical_result_trees(tmp_path):
         "seed": 424242,
         "output_dir": "results",
     }
+    # b differs from a in the hash salt only, c from b in the worker count only
+    runs = (("a", "1", "1"), ("b", "31337", "1"), ("c", "31337", "2"))
     trees = []
-    for label, hash_seed in (("a", "1"), ("b", "31337")):
+    for label, hash_seed, jobs in runs:
         workdir = tmp_path / label
         workdir.mkdir()
         (workdir / "config.json").write_text(json.dumps(config_doc))
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         proc = subprocess.run(
-            [sys.executable, "-m", "fairsched", "run", "--config", "config.json", "--quiet"],
+            [sys.executable, "-m", "fairsched", "run", "--config", "config.json", "--jobs", jobs, "--quiet"],
             cwd=workdir,
             env=env,
             capture_output=True,
@@ -416,8 +418,13 @@ def test_criterion_7_bit_identical_result_trees(tmp_path):
         root = workdir / "results"
         trees.append({p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()})
 
-    assert trees[0].keys() == trees[1].keys()
     assert len(trees[0]) > 10
-    for rel in trees[0]:
-        assert trees[0][rel] == trees[1][rel], f"{rel} differs between processes"
-    _detail(7, f"PASS: {len(trees[0])} files bit-identical across two processes with different hash salts")
+    for (_, hash_seed, jobs), tree in zip(runs[1:], trees[1:]):
+        assert tree.keys() == trees[0].keys()
+        for rel in trees[0]:
+            assert tree[rel] == trees[0][rel], f"{rel} differs under hash seed {hash_seed}, --jobs {jobs}"
+    _detail(
+        7,
+        f"PASS: {len(trees[0])} files bit-identical across three processes "
+        "with different hash salts and --jobs 1 and 2",
+    )

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from fairsched import experiment
 from fairsched.cli import main
 from fairsched.io import load_native, load_resources
 from fairsched.model import validate
@@ -153,7 +155,62 @@ def test_run_seed_override_of_array_config_exit_2(tmp_path, capsys):
 def test_run_rejects_unknown_clusterer(tmp_path, capsys):
     cfg = write_config(tmp_path / "config.json", tmp_path / "results")
     assert main(["run", "--config", str(cfg), "--clusterers", "bogus", "--quiet"]) == 2
-    assert "unknown clusterer" in capsys.readouterr().err
+    assert "error: --clusterers: unknown clusterer 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "options, named",
+    [
+        (["--clusterers", ","], "error: --clusterers: no clusterers configured"),
+        (["--out", ""], "error: --out: output_dir must be a non-empty string, got ''"),
+        (["--out", "", "--seed", "5"], "error: --out: output_dir must be a non-empty string, got ''"),
+        (["--reps", "0"], "error: --reps: repetitions must be >= 1, got 0"),
+        (["--reps", "0", "--clusterers", "bogus"], "error: --reps, --clusterers: "),
+    ],
+)
+def test_run_bad_override_names_the_option(tmp_path, capsys, options, named):
+    """A config file that is valid alone is not blamed for a bad override."""
+    cfg = write_config(tmp_path / "config.json", tmp_path / "results")
+    assert main(["run", "--config", str(cfg), *options, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert str(cfg) not in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "results").exists()
+
+
+def test_run_bad_file_is_blamed_despite_overrides(tmp_path, capsys):
+    cfg = write_config(tmp_path / "config.json", tmp_path / "results", repetitions=0)
+    assert main(["run", "--config", str(cfg), "--reps", "2", "--quiet"]) == 2
+    assert f"error: {cfg}: repetitions must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "x", "1.5"])
+def test_run_invalid_jobs_exit_2(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path / "config.json", tmp_path / "results")
+    with pytest.raises(SystemExit) as raised:
+        main(["run", "--config", str(cfg), "--jobs", jobs, "--quiet"])
+    assert raised.value.code == 2
+    assert f"argument --jobs: must be an integer >= 1, got '{jobs}'" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+def test_run_failing_dataset_same_error_under_jobs(tmp_path, capsys, monkeypatch):
+    """The second of three datasets is a missing file: --jobs 2 reports it
+    as --jobs 1 does, and leaves no worker running."""
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)  # a pool even on one CPU
+    datasets = [
+        {"name": "t1", "n_workflows": 2, "task_count_range": [3, 4], "ccr": 0.5, "parallelism_degree": 0.5},
+        {"name": "gone", "path": str(tmp_path / "no_such.json")},
+        {"name": "t3", "n_workflows": 3, "task_count_range": [3, 4], "ccr": 2.0, "parallelism_degree": 0.5},
+    ]
+    errors = []
+    for jobs in ("1", "2"):
+        cfg = write_config(tmp_path / f"config{jobs}.json", tmp_path / f"results{jobs}", datasets=datasets)
+        assert main(["run", "--config", str(cfg), "--jobs", jobs, "--quiet"]) == 2
+        assert multiprocessing.active_children() == []
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == f"error: dataset 'gone': file {tmp_path / 'no_such.json'} does not exist\n"
 
 
 def test_run_missing_config_exit_2(tmp_path, capsys):

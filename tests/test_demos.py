@@ -19,3 +19,19 @@ def test_demo_runs(demo, tmp_path):
     env = {**os.environ, "TMPDIR": str(tmp_path)}
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_experiment_demo_runs_under_spawn(tmp_path):
+    """A spawned worker imports the demo again: its body must be guarded."""
+    demo = next(d for d in DEMOS if d.name == "05_experiment.py")
+    code = (
+        "import multiprocessing, runpy, sys\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "runpy.run_path(sys.argv[1], run_name='__main__')\n"
+    )
+    env = {**os.environ, "TMPDIR": str(tmp_path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "reproduces: True" in proc.stdout

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from fairsched import experiment
 from fairsched.experiment import (
     ConfigError,
     DatasetSpec,
@@ -182,6 +186,107 @@ def test_run_experiment_rerun_is_bit_identical(tmp_path):
     run_experiment(cfg)
     after = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
     assert snapshot == after
+
+
+def _tree(root: Path) -> dict[Path, bytes]:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_jobs_1_and_2_write_identical_trees(tmp_path, monkeypatch):
+    """Datasets of unequal size, one read from a native file: the worker
+    that finishes first must not change any file, nor the metrics order."""
+    from fairsched.generator import generate
+
+    save_native(generate(tiny_gen(seed=11, n_workflows=3)), tmp_path / "mine.json")
+    datasets = (
+        DatasetSpec(name="big", generator=replace(tiny_gen(seed=7, n_workflows=5), task_count_range=(8, 12))),
+        DatasetSpec(name="mine", path=str(tmp_path / "mine.json")),
+        DatasetSpec(name="small", generator=tiny_gen(seed=8, n_workflows=1)),
+    )
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)  # a pool even on one CPU
+    trees = []
+    for jobs in (1, 2):
+        workdir = tmp_path / f"jobs{jobs}"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)  # the same relative output_dir: config.json echoes it
+        out = run_experiment(tiny_config(tmp_path, datasets=datasets, output_dir="results"), jobs=jobs)
+        assert multiprocessing.active_children() == []
+        trees.append(_tree(workdir / out))
+    # config and catalog, 2 generated sets, 24 record and front files, 5 metric CSVs
+    assert len(trees[0]) == 2 + 2 + 3 * 2 * 2 * 2 + 3 + 2
+    assert trees[0] == trees[1]
+
+
+_START_METHOD_SCRIPT = """
+import multiprocessing, sys
+from fairsched import experiment
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    experiment._available_cpus = lambda: 2  # a pool even on one CPU
+    experiment.run_experiment(experiment.load_config("config.json"), jobs=2)
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_workers_not_started_by_fork_write_the_same_tree(tmp_path, monkeypatch, method):
+    """Such workers import fairsched afresh and inherit nothing of the parent."""
+    doc = tiny_config(tmp_path, output_dir="results").to_dict()
+    for side in ("serial", method):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "config.json").write_text(json.dumps(doc))
+    (tmp_path / method / "start.py").write_text(_START_METHOD_SCRIPT)
+    proc = subprocess.run(
+        [sys.executable, "start.py", method], cwd=tmp_path / method, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.chdir(tmp_path / "serial")
+    run_experiment(load_config("config.json"), jobs=1)
+    serial = _tree(tmp_path / "serial" / "results")
+    assert len(serial) > 10
+    assert _tree(tmp_path / method / "results") == serial
+
+
+def test_worker_count_caps_jobs():
+    assert experiment._worker_count(None, 16, cpus=2) == 2
+    assert experiment._worker_count(64, 16, cpus=2) == 2  # more jobs than CPUs
+    assert experiment._worker_count(8, 3, cpus=32) == 3  # more jobs than datasets
+    assert experiment._worker_count(None, 1, cpus=32) == 1
+    assert experiment._worker_count(1, 16, cpus=32) == 1
+    for jobs in (0, -1, 1.5, True, "2"):
+        with pytest.raises(ConfigError, match="jobs must be an integer >= 1"):
+            experiment._worker_count(jobs, 16, cpus=2)
+
+
+def test_invalid_jobs_fail_before_writing_outputs(tmp_path):
+    cfg = tiny_config(tmp_path)
+    with pytest.raises(ConfigError, match="jobs"):
+        run_experiment(cfg, jobs=0)
+    assert not Path(cfg.output_dir).exists()
+
+
+def test_failing_dataset_stops_the_pool(tmp_path, monkeypatch):
+    """The second dataset fails at once in its worker while the first runs
+    on: the first failure in config order is raised, as without workers;
+    datasets after it that no worker has taken never start; no worker is
+    left."""
+    datasets = (
+        DatasetSpec(name="slow", generator=replace(tiny_gen(seed=7, n_workflows=24), task_count_range=(20, 30))),
+        DatasetSpec(name="gone", path=str(tmp_path / "no_such.json")),
+        *(DatasetSpec(name=f"small{i:02d}", generator=tiny_gen(seed=i)) for i in range(2, 12)),
+    )
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)
+    messages = []
+    for jobs in (1, 2):
+        cfg = tiny_config(tmp_path / f"jobs{jobs}", datasets=datasets)
+        with pytest.raises(ConfigError, match="dataset 'gone': file .* does not exist") as raised:
+            run_experiment(cfg, jobs=jobs)
+        assert multiprocessing.active_children() == []
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    # the pool hands a worker at most a few datasets ahead of the one it runs
+    ran = sorted(p.name for p in (Path(cfg.output_dir) / "runs").iterdir())
+    assert "slow" in ran and not {"small08", "small09", "small10", "small11"} & set(ran), ran
 
 
 def test_run_experiment_accepts_file_datasets(tmp_path):
