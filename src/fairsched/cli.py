@@ -13,16 +13,6 @@ from .io import FormatError, default_catalog, save_native, save_resources
 from .model import ValidationError
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
-
-
 # the option that overrides each config field, for naming it in errors
 _RUN_OPTIONS = {"output_dir": "--out", "seed": "--seed", "repetitions": "--reps", "clusterers": "--clusterers"}
 
@@ -37,7 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, help="master seed (overrides config)")
     p_run.add_argument("--reps", type=int, help="repetitions per run (overrides config)")
     p_run.add_argument("--clusterers", help="comma-separated clusterer list (overrides config)")
-    p_run.add_argument("--jobs", type=_positive_int, help="worker processes (default: one per available CPU)")
     p_run.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     p_gen = sub.add_parser("gen", help="write synthetic dataset files (native JSON)")
@@ -71,7 +60,7 @@ def _cmd_run(args) -> int:
         labels=_RUN_OPTIONS,
         output_dir=args.out, seed=args.seed, repetitions=args.reps, clusterers=clusterers,
     )
-    out = experiment.run_experiment(cfg, jobs=args.jobs)
+    out = experiment.run_experiment(cfg)
     print(out)
     return 0
 

@@ -231,8 +231,9 @@ def _parses(doc) -> bool:
 
 
 def load_config(path, *, labels=None, **overrides) -> ExperimentConfig:
-    """Parse and validate a config file. Each non-None override then replaces
-    the document's top-level field of that name, as if the file held it.
+    """Parse and validate a config file. Each non-None override replaces the
+    document's top-level field of that name, as if the file held it, so an
+    override may mend the file.
 
     An error in the file alone names the file. An error that only the
     overrides bring about names the overrides that bring it about on their
@@ -245,19 +246,21 @@ def load_config(path, *, labels=None, **overrides) -> ExperimentConfig:
         raise ConfigError(f"config file {path} does not exist") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        cfg = _parsed(doc)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
     given = {k: v for k, v in overrides.items() if v is not None}
-    if not given:
-        return cfg
     try:
-        return _parsed({**doc, **given})
+        return _parsed({**doc, **given} if given and isinstance(doc, dict) else doc)
     except ConfigError as exc:
-        culprits = [k for k, v in given.items() if not _parses({**doc, k: v})] or list(given)
-        names = ", ".join((labels or {}).get(k, k) for k in culprits)
-        raise ConfigError(f"{names}: {exc}") from exc
+        error = exc
+    if given:
+        try:
+            _parsed(doc)
+        except ConfigError as exc:
+            error = exc
+        else:
+            culprits = [k for k, v in given.items() if not _parses({**doc, k: v})] or list(given)
+            names = ", ".join((labels or {}).get(k, k) for k in culprits)
+            raise ConfigError(f"{names}: {error}") from error
+    raise ConfigError(f"{path}: {error}") from error
 
 
 @dataclass
@@ -389,12 +392,12 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_count(jobs: int | None, n_datasets: int, cpus: int) -> int:
-    """Worker processes for an experiment: `jobs` (default: every CPU), at
-    most one per CPU and one per dataset."""
-    if jobs is not None and (isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1):
-        raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
-    return min(jobs or cpus, cpus, n_datasets)
+# The names the dataset loop looks up in this module at call time, as
+# imported; while one is replaced, run_experiment keeps datasets in-process.
+_AS_IMPORTED = {
+    name: globals()[name]
+    for name in ("generate", "ensure_valid", "compute_baselines", "make_plan", "order_interleave", "Evaluator", "run_with_evaluator")
+}
 
 
 def _run_dataset(cfg: ExperimentConfig, catalog: ResourceCatalog, out: Path, ds: DatasetSpec) -> dict[str, list[np.ndarray]]:
@@ -430,17 +433,20 @@ def _run_dataset(cfg: ExperimentConfig, catalog: ResourceCatalog, out: Path, ds:
     return fronts_by_algorithm
 
 
-def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> Path:
+def run_experiment(cfg: ExperimentConfig) -> Path:
     """Run every (dataset, clusterer, repetition), then score the fronts.
 
-    Datasets run in `jobs` worker processes (default: one per available
-    CPU), never more than there are CPUs or datasets; with one worker they
-    run in this process. Every run has its own seed and the metrics are
-    written in config order, so the tree is the same for any `jobs`. If
-    datasets fail, the first failure in config order is raised, as with one
-    worker, and no worker outlives the call. Worker processes are started
-    the platform's default way; a script that calls this with more than one
-    worker must guard its top level with `if __name__ == "__main__":` where
+    Datasets run in worker processes, one per available CPU but never more
+    than there are datasets; with one worker they run in this process. They
+    also run in this process while a name the dataset loop calls has been
+    replaced in it, as a tracer's wrapper or a test's stand-in replaces it:
+    what a replacement records would stay in a forked worker, and a spawned
+    worker would not call it at all. Every run has its own seed and the
+    metrics are written in config order, so the tree is the same for any
+    number of workers. If datasets fail, the first failure in config order
+    is raised, as with one worker, and no worker outlives the call. Worker
+    processes are started the platform's default way; a script that calls
+    this must guard its top level with `if __name__ == "__main__":` where
     that way is not fork.
 
     Returns the output directory. Layout:
@@ -455,7 +461,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> Path:
         metrics/rdi.csv                  wide RDI table
     """
     cfg.validate()
-    workers = _worker_count(jobs, len(cfg.datasets), _available_cpus())
+    replaced = any(globals()[name] is not value for name, value in _AS_IMPORTED.items())
+    workers = 1 if replaced else min(_available_cpus(), len(cfg.datasets))
     catalog = _resolve_catalog(cfg)
     out = Path(cfg.output_dir)
     (out / "datasets").mkdir(parents=True, exist_ok=True)
@@ -469,19 +476,12 @@ def run_experiment(cfg: ExperimentConfig, jobs: int | None = None) -> Path:
     else:
         # imported here: multiprocessing adds about 0.9 MB to every process
         # that imports it, and most users of this module never start a pool
-        from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+        from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(workers)
         try:
-            futures = [pool.submit(run_one, ds) for ds in cfg.datasets]
-            wait(futures, return_when=FIRST_EXCEPTION)
-            # After a failure only the datasets before it still matter: one
-            # of them may fail too, and the first failure in config order is
-            # the one to report. Later ones not yet in a worker never start.
-            first_failed = next((i for i, f in enumerate(futures) if f.done() and f.exception()), len(futures))
-            for future in futures[first_failed + 1:]:
-                future.cancel()
-            results = [future.result() for future in futures]
+            # results in config order: the first failure in config order is raised
+            results = list(pool.map(run_one, cfg.datasets))
         finally:
             pool.shutdown(cancel_futures=True)
     fronts_by_dataset = {ds.name: fronts for ds, fronts in zip(cfg.datasets, results)}

@@ -387,6 +387,11 @@ def test_criterion_6_clustering_invariants():
 
 # -- criterion 7: cross-process determinism ------------------------------------
 
+def _pin_to_one_cpu():
+    """In a child before it runs: one CPU, so run_experiment starts no pool."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def test_criterion_7_bit_identical_result_trees(tmp_path):
     config_doc = {
         "datasets": [
@@ -399,18 +404,20 @@ def test_criterion_7_bit_identical_result_trees(tmp_path):
         "seed": 424242,
         "output_dir": "results",
     }
-    # b differs from a in the hash salt only, c from b in the worker count only
-    runs = (("a", "1", "1"), ("b", "31337", "1"), ("c", "31337", "2"))
+    # b differs from a in the hash salt only, c from b in the CPUs it may use
+    # and so in its worker count (one per CPU, at most one per dataset)
+    runs = (("a", "1", True), ("b", "31337", True), ("c", "31337", False))
     trees = []
-    for label, hash_seed, jobs in runs:
+    for label, hash_seed, one_cpu in runs:
         workdir = tmp_path / label
         workdir.mkdir()
         (workdir / "config.json").write_text(json.dumps(config_doc))
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         proc = subprocess.run(
-            [sys.executable, "-m", "fairsched", "run", "--config", "config.json", "--jobs", jobs, "--quiet"],
+            [sys.executable, "-m", "fairsched", "run", "--config", "config.json", "--quiet"],
             cwd=workdir,
             env=env,
+            preexec_fn=_pin_to_one_cpu if one_cpu else None,
             capture_output=True,
             text=True,
         )
@@ -419,12 +426,12 @@ def test_criterion_7_bit_identical_result_trees(tmp_path):
         trees.append({p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()})
 
     assert len(trees[0]) > 10
-    for (_, hash_seed, jobs), tree in zip(runs[1:], trees[1:]):
+    for (_, hash_seed, one_cpu), tree in zip(runs[1:], trees[1:]):
         assert tree.keys() == trees[0].keys()
         for rel in trees[0]:
-            assert tree[rel] == trees[0][rel], f"{rel} differs under hash seed {hash_seed}, --jobs {jobs}"
+            assert tree[rel] == trees[0][rel], f"{rel} differs under hash seed {hash_seed}, one CPU {one_cpu}"
     _detail(
         7,
         f"PASS: {len(trees[0])} files bit-identical across three processes "
-        "with different hash salts and --jobs 1 and 2",
+        "with different hash salts, on one CPU and on every CPU",
     )

@@ -180,34 +180,32 @@ def test_run_bad_override_names_the_option(tmp_path, capsys, options, named):
 
 
 def test_run_bad_file_is_blamed_despite_overrides(tmp_path, capsys):
-    cfg = write_config(tmp_path / "config.json", tmp_path / "results", repetitions=0)
+    cfg = write_config(tmp_path / "config.json", tmp_path / "results", clusterers=["bogus"])
     assert main(["run", "--config", str(cfg), "--reps", "2", "--quiet"]) == 2
-    assert f"error: {cfg}: repetitions must be >= 1, got 0" in capsys.readouterr().err
+    assert f"error: {cfg}: unknown clusterer 'bogus'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1", "x", "1.5"])
-def test_run_invalid_jobs_exit_2(tmp_path, capsys, jobs):
-    cfg = write_config(tmp_path / "config.json", tmp_path / "results")
-    with pytest.raises(SystemExit) as raised:
-        main(["run", "--config", str(cfg), "--jobs", jobs, "--quiet"])
-    assert raised.value.code == 2
-    assert f"argument --jobs: must be an integer >= 1, got '{jobs}'" in capsys.readouterr().err
-    assert not (tmp_path / "results").exists()
+def test_run_override_mends_the_file(tmp_path):
+    cfg = write_config(tmp_path / "config.json", tmp_path / "results", repetitions=0)
+    assert main(["run", "--config", str(cfg), "--reps", "2", "--quiet"]) == 0
+    assert sorted(p.name for p in (tmp_path / "results" / "runs" / "t" / "none").glob("rep*.json")) == [
+        "rep00.json", "rep01.json",
+    ]
 
 
-def test_run_failing_dataset_same_error_under_jobs(tmp_path, capsys, monkeypatch):
-    """The second of three datasets is a missing file: --jobs 2 reports it
-    as --jobs 1 does, and leaves no worker running."""
-    monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)  # a pool even on one CPU
+def test_run_failing_dataset_same_error_with_workers(tmp_path, capsys, monkeypatch):
+    """The second of three datasets is a missing file: two workers report it
+    as one does, and leave no worker running."""
     datasets = [
         {"name": "t1", "n_workflows": 2, "task_count_range": [3, 4], "ccr": 0.5, "parallelism_degree": 0.5},
         {"name": "gone", "path": str(tmp_path / "no_such.json")},
         {"name": "t3", "n_workflows": 3, "task_count_range": [3, 4], "ccr": 2.0, "parallelism_degree": 0.5},
     ]
     errors = []
-    for jobs in ("1", "2"):
-        cfg = write_config(tmp_path / f"config{jobs}.json", tmp_path / f"results{jobs}", datasets=datasets)
-        assert main(["run", "--config", str(cfg), "--jobs", jobs, "--quiet"]) == 2
+    for cpus in (1, 2):  # 2: a pool even on one CPU
+        monkeypatch.setattr(experiment, "_available_cpus", lambda: cpus)
+        cfg = write_config(tmp_path / f"config{cpus}.json", tmp_path / f"results{cpus}", datasets=datasets)
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 2
         assert multiprocessing.active_children() == []
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] == f"error: dataset 'gone': file {tmp_path / 'no_such.json'} does not exist\n"

@@ -192,7 +192,7 @@ def _tree(root: Path) -> dict[Path, bytes]:
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def test_jobs_1_and_2_write_identical_trees(tmp_path, monkeypatch):
+def test_one_and_two_workers_write_identical_trees(tmp_path, monkeypatch):
     """Datasets of unequal size, one read from a native file: the worker
     that finishes first must not change any file, nor the metrics order."""
     from fairsched.generator import generate
@@ -203,13 +203,13 @@ def test_jobs_1_and_2_write_identical_trees(tmp_path, monkeypatch):
         DatasetSpec(name="mine", path=str(tmp_path / "mine.json")),
         DatasetSpec(name="small", generator=tiny_gen(seed=8, n_workflows=1)),
     )
-    monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)  # a pool even on one CPU
     trees = []
-    for jobs in (1, 2):
-        workdir = tmp_path / f"jobs{jobs}"
+    for cpus in (1, 2):  # 2: a pool even on one CPU
+        monkeypatch.setattr(experiment, "_available_cpus", lambda: cpus)
+        workdir = tmp_path / f"cpus{cpus}"
         workdir.mkdir()
         monkeypatch.chdir(workdir)  # the same relative output_dir: config.json echoes it
-        out = run_experiment(tiny_config(tmp_path, datasets=datasets, output_dir="results"), jobs=jobs)
+        out = run_experiment(tiny_config(tmp_path, datasets=datasets, output_dir="results"))
         assert multiprocessing.active_children() == []
         trees.append(_tree(workdir / out))
     # config and catalog, 2 generated sets, 24 record and front files, 5 metric CSVs
@@ -224,7 +224,7 @@ from fairsched import experiment
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])
     experiment._available_cpus = lambda: 2  # a pool even on one CPU
-    experiment.run_experiment(experiment.load_config("config.json"), jobs=2)
+    experiment.run_experiment(experiment.load_config("config.json"))
 """
 
 
@@ -241,52 +241,76 @@ def test_workers_not_started_by_fork_write_the_same_tree(tmp_path, monkeypatch, 
     )
     assert proc.returncode == 0, proc.stderr
     monkeypatch.chdir(tmp_path / "serial")
-    run_experiment(load_config("config.json"), jobs=1)
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 1)
+    run_experiment(load_config("config.json"))
     serial = _tree(tmp_path / "serial" / "results")
     assert len(serial) > 10
     assert _tree(tmp_path / method / "results") == serial
 
 
-def test_worker_count_caps_jobs():
-    assert experiment._worker_count(None, 16, cpus=2) == 2
-    assert experiment._worker_count(64, 16, cpus=2) == 2  # more jobs than CPUs
-    assert experiment._worker_count(8, 3, cpus=32) == 3  # more jobs than datasets
-    assert experiment._worker_count(None, 1, cpus=32) == 1
-    assert experiment._worker_count(1, 16, cpus=32) == 1
-    for jobs in (0, -1, 1.5, True, "2"):
-        with pytest.raises(ConfigError, match="jobs must be an integer >= 1"):
-            experiment._worker_count(jobs, 16, cpus=2)
+def test_worker_count_is_capped_by_cpus_and_datasets(tmp_path, monkeypatch):
+    """The pool is asked for its size and refused, so no worker starts."""
+    import concurrent.futures
+
+    class NoPool(Exception):
+        pass
+
+    sizes = []
+
+    def recording_pool(workers):
+        sizes.append(workers)
+        raise NoPool
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    three = tuple(DatasetSpec(name=f"ds{i}", generator=tiny_gen(seed=i)) for i in range(3))
+    for cpus in (64, 2):
+        monkeypatch.setattr(experiment, "_available_cpus", lambda: cpus)
+        with pytest.raises(NoPool):
+            run_experiment(tiny_config(tmp_path / f"cpus{cpus}", datasets=three))
+    assert sizes == [3, 2]
+    # one worker, for one dataset or one CPU, runs in this process without a pool
+    for cpus, datasets in ((32, three[:1]), (1, three)):
+        monkeypatch.setattr(experiment, "_available_cpus", lambda: cpus)
+        run_experiment(tiny_config(tmp_path / f"one{cpus}", datasets=datasets, repetitions=1))
+    assert sizes == [3, 2]
 
 
-def test_invalid_jobs_fail_before_writing_outputs(tmp_path):
+def test_replaced_loop_name_keeps_datasets_in_this_process(tmp_path, monkeypatch):
+    """A stand-in sees every run, as a tracer must: in a forked worker its
+    calls would be lost, and a spawned one would not call it at all."""
+    real = experiment.run_with_evaluator
+    seeds = []
+
+    def counting(evaluator, opt):
+        seeds.append(opt.seed)
+        return real(evaluator, opt)
+
+    monkeypatch.setattr(experiment, "run_with_evaluator", counting)
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)
     cfg = tiny_config(tmp_path)
-    with pytest.raises(ConfigError, match="jobs"):
-        run_experiment(cfg, jobs=0)
-    assert not Path(cfg.output_dir).exists()
+    run_experiment(cfg)
+    assert len(seeds) == len(cfg.datasets) * len(cfg.clusterers) * cfg.repetitions
+    assert multiprocessing.active_children() == []
 
 
 def test_failing_dataset_stops_the_pool(tmp_path, monkeypatch):
     """The second dataset fails at once in its worker while the first runs
-    on: the first failure in config order is raised, as without workers;
-    datasets after it that no worker has taken never start; no worker is
-    left."""
+    on: the first failure in config order is raised, as without workers,
+    and no worker is left."""
     datasets = (
         DatasetSpec(name="slow", generator=replace(tiny_gen(seed=7, n_workflows=24), task_count_range=(20, 30))),
         DatasetSpec(name="gone", path=str(tmp_path / "no_such.json")),
-        *(DatasetSpec(name=f"small{i:02d}", generator=tiny_gen(seed=i)) for i in range(2, 12)),
+        *(DatasetSpec(name=f"small{i:02d}", generator=tiny_gen(seed=i)) for i in range(2, 6)),
     )
-    monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)
     messages = []
-    for jobs in (1, 2):
-        cfg = tiny_config(tmp_path / f"jobs{jobs}", datasets=datasets)
+    for cpus in (1, 2):
+        monkeypatch.setattr(experiment, "_available_cpus", lambda: cpus)
+        cfg = tiny_config(tmp_path / f"cpus{cpus}", datasets=datasets)
         with pytest.raises(ConfigError, match="dataset 'gone': file .* does not exist") as raised:
-            run_experiment(cfg, jobs=jobs)
+            run_experiment(cfg)
         assert multiprocessing.active_children() == []
         messages.append(str(raised.value))
     assert messages[0] == messages[1]
-    # the pool hands a worker at most a few datasets ahead of the one it runs
-    ran = sorted(p.name for p in (Path(cfg.output_dir) / "runs").iterdir())
-    assert "slow" in ran and not {"small08", "small09", "small10", "small11"} & set(ran), ran
 
 
 def test_run_experiment_accepts_file_datasets(tmp_path):
