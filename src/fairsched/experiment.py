@@ -25,7 +25,7 @@ import logging
 import numbers
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -65,17 +65,19 @@ def _real(value, name: str) -> float:
         raise ConfigError(f"{name} is out of the float range") from None
 
 
+_OPTIMIZER_DEFAULTS = {f.name: f.default for f in fields(OptimizerConfig)}
+
+
 def _optimizer_from_dict(doc) -> OptimizerConfig:
     """Optimizer settings of a config or run record; omitted fields take the
     OptimizerConfig defaults, given ones must have the type of their default."""
     if not isinstance(doc, dict):
         raise ConfigError(f"optimizer must be a JSON object, got {doc!r}")
-    defaults = asdict(OptimizerConfig())
-    unknown = sorted(set(doc) - set(defaults))
+    unknown = sorted(set(doc) - set(_OPTIMIZER_DEFAULTS))
     if unknown:
         raise ConfigError(f"optimizer: unknown field(s) {', '.join(unknown)}")
     parse = {int: _integer, float: _real}
-    return OptimizerConfig(**{k: parse[type(v)](doc.get(k, v), f"optimizer.{k}") for k, v in defaults.items()})
+    return OptimizerConfig(**{k: parse[type(v)](doc.get(k, v), f"optimizer.{k}") for k, v in _OPTIMIZER_DEFAULTS.items()})
 
 
 @dataclass(frozen=True)
@@ -364,15 +366,20 @@ def load_record(path) -> RunRecord:
     return RunRecord(dataset, doc["clusterer"], repetition, seed, optimizer, catalog, front)
 
 
-def _load_dataset(spec: DatasetSpec, base_dir: Path | None = None) -> WorkflowSet:
-    if spec.generator is not None:
-        return generate(spec.generator)
+def _native_path(spec: DatasetSpec, base_dir: Path | None = None) -> Path:
+    """The file of a native dataset, tried as given and then under base_dir."""
     path = Path(spec.path)
     if base_dir is not None and not path.is_absolute() and not path.exists():
         path = base_dir / path
     if not path.exists():
         raise ConfigError(f"dataset {spec.name!r}: file {spec.path} does not exist")
-    return wio.load_native(path)
+    return path
+
+
+def _load_dataset(spec: DatasetSpec, base_dir: Path | None = None) -> WorkflowSet:
+    if spec.generator is not None:
+        return generate(spec.generator)
+    return wio.load_native(_native_path(spec, base_dir))
 
 
 def _resolve_catalog(cfg: ExperimentConfig) -> ResourceCatalog:
@@ -443,11 +450,12 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     what a replacement records would stay in a forked worker, and a spawned
     worker would not call it at all. Every run has its own seed and the
     metrics are written in config order, so the tree is the same for any
-    number of workers. If datasets fail, the first failure in config order
-    is raised, as with one worker, and no worker outlives the call. Worker
-    processes are started the platform's default way; a script that calls
-    this must guard its top level with `if __name__ == "__main__":` where
-    that way is not fork.
+    number of workers. A missing resources or native dataset file raises
+    before anything is written. If datasets fail, the first failure in
+    config order is raised, as with one worker, and no worker outlives the
+    call. Worker processes are started the platform's default way; a
+    script that calls this must guard its top level with
+    `if __name__ == "__main__":` where that way is not fork.
 
     Returns the output directory. Layout:
 
@@ -464,6 +472,9 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     replaced = any(globals()[name] is not value for name, value in _AS_IMPORTED.items())
     workers = 1 if replaced else min(_available_cpus(), len(cfg.datasets))
     catalog = _resolve_catalog(cfg)
+    for ds in cfg.datasets:
+        if ds.generator is None:
+            _native_path(ds)
     out = Path(cfg.output_dir)
     (out / "datasets").mkdir(parents=True, exist_ok=True)
     (out / "metrics").mkdir(parents=True, exist_ok=True)

@@ -27,10 +27,14 @@ HV_REFERENCE = (1.1, 1.1, 1.1)
 
 
 def pareto_filter(points: np.ndarray) -> np.ndarray:
-    """Unique nondominated points (minimization), sorted lexicographically."""
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    """Unique nondominated points (minimization), sorted lexicographically.
+    Rows equal up to the sign of a zero are one point; every zero comes out
+    as +0.0."""
+    pts = np.asarray(points, dtype=float)
     if pts.size == 0:
-        return pts.reshape(0, points.shape[1] if points.ndim == 2 else 0)
+        return pts.reshape(0, pts.shape[1] if pts.ndim == 2 else 0)
+    pts = pts[np.lexsort(pts.T[::-1])]  # first column is the primary key
+    pts = pts[np.append(True, (pts[1:] != pts[:-1]).any(axis=1))] + 0.0
     return pts[nondominated_sort(pts, stop=1)[0]]
 
 
@@ -75,8 +79,12 @@ def hv(front, ref=HV_REFERENCE) -> float:
 
     Points that do not strictly dominate the reference point contribute
     nothing; they are clipped and logged. Dominated or duplicate points are
-    harmless. Computed by sweeping the first objective and accumulating
-    2-D staircase areas of the active slabs.
+    harmless. Computed by sweeping the first objective: each distinct x
+    opens a slab up to the next one (the last up to ref), whose area is the
+    2-D staircase of the points with x up to its own. All slabs are swept
+    at once as rows of [slab, point] matrices, and areas and volumes are
+    added left to right (`np.add.accumulate`, not the pairwise `np.sum`),
+    so every float is the one a loop over slabs and stairs gives.
     """
     pts = np.asarray(front, dtype=float).reshape(-1, 3)
     ref = np.asarray(ref, dtype=float)
@@ -88,28 +96,21 @@ def hv(front, ref=HV_REFERENCE) -> float:
     pts = pareto_filter(pts[inside])
     if len(pts) == 0:
         return 0.0
-    xs = np.unique(pts[:, 0])
-    volume = 0.0
-    for i, x in enumerate(xs):
-        depth = (xs[i + 1] if i + 1 < len(xs) else ref[0]) - x
-        active = pts[pts[:, 0] <= x][:, 1:]
-        volume += depth * _staircase_area(active, ref[1], ref[2])
-    return float(volume)
-
-
-def _staircase_area(yz: np.ndarray, ref_y: float, ref_z: float) -> float:
-    order = np.lexsort((yz[:, 1], yz[:, 0]))  # y ascending, z ascending within
-    area = 0.0
-    best_z = ref_z
-    stairs: list[tuple[float, float]] = []
-    for y, z in yz[order]:
-        if z < best_z:
-            stairs.append((y, z))
-            best_z = z
-    for i, (y, z) in enumerate(stairs):
-        next_y = stairs[i + 1][0] if i + 1 < len(stairs) else ref_y
-        area += (next_y - y) * (ref_z - z)
-    return area
+    x, y, z = pts[np.lexsort((pts[:, 2], pts[:, 1]))].T  # y ascending, z ascending within
+    xs = np.unique(x)
+    active = x <= xs[:, None]
+    # a stair's z is below that of every earlier point of its slab
+    lowest = np.minimum.accumulate(np.where(active, z, ref[2]), axis=1)
+    before = np.concatenate([np.full((len(xs), 1), ref[2]), lowest[:, :-1]], axis=1)
+    slab, point = np.nonzero(active & (z < before))  # slab by slab, in y order
+    # each stair reaches to the next stair of its slab, the last one to ref
+    next_y = np.append(y[point[1:]], ref[1])
+    next_y[np.append(slab[1:] != slab[:-1], True)] = ref[1]
+    terms = np.zeros(active.shape)
+    terms[slab, point] = (next_y - y[point]) * (ref[2] - z[point])
+    area = np.add.accumulate(terms, axis=1)[:, -1]
+    depth = np.diff(np.append(xs, ref[0]))
+    return float(np.add.accumulate(depth * area)[-1])
 
 
 def rdi(values, better: str) -> list[float]:
@@ -209,15 +210,6 @@ def write_run_scores_csv(scores: list[RunScore], path) -> None:
         out.writerow(["dataset", "algorithm", "repetition", "igd", "hv"])
         for s in scores:
             out.writerow([s.dataset, s.algorithm, s.repetition, repr(s.igd), repr(s.hv)])
-
-
-def read_run_scores_csv(path) -> list[RunScore]:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return [
-        RunScore(r["dataset"], r["algorithm"], int(r["repetition"]), float(r["igd"]), float(r["hv"]))
-        for r in rows
-    ]
 
 
 def write_aggregate_csv(aggregates: list[AggregateScore], path) -> None:

@@ -154,10 +154,6 @@ class Workflow:
             self.task(task_id)  # raises the unknown-task GraphError
         return self._succ[task_id]
 
-    def entry_set(self) -> tuple[str, ...]:
-        """Tasks with no predecessors, sorted. Non-empty for any non-empty DAG."""
-        return tuple(t.id for t in sorted(self.tasks, key=lambda t: t.id) if not self._pred[t.id])
-
     def topological_order(self) -> list[str]:
         """Kahn's algorithm; ties resolved by lexicographically smallest id.
 

@@ -16,19 +16,24 @@ decoder's per-genome walk over plain Python lists, which the
 population-vectorized decoder must match bit for bit, and the set-up
 loops: `upward_rank_loop`, `heft_alone_loop` and `cheapest_alone_loop`
 (the fairness baselines, float for float), `dfs_cst_scan` (dfs-cst's
-head scan) and `interleave_scan` (the dispatch order's per-turn cluster
-scan).
+head scan), `interleave_scan` (the dispatch order's per-turn cluster
+scan), and the metrics' `pareto_filter_unique` (`np.unique` rows) and
+`hv_slab_loop` (a Python loop per x-slab), which the array-at-once filter
+and hypervolume must match bit for bit. `read_run_scores_csv` and
+`entry_set` are helpers that only the tests need.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from bisect import insort
 
 import numpy as np
 
+from fairsched.metrics import RunScore
 from fairsched.model import Edge, GraphError, Resource, ResourceCatalog, Task, Workflow, WorkflowSet
-from fairsched.nsga3 import N_OBJECTIVES, _associate, _normalize
+from fairsched.nsga3 import N_OBJECTIVES, _associate, _normalize, nondominated_sort
 
 
 def _transfer(data_size, src: Resource, dst: Resource) -> float:
@@ -233,6 +238,49 @@ def dominance_filter_naive(points):
         if not dominated:
             keep.append(p)
     return np.array(keep)
+
+
+def pareto_filter_unique(points) -> np.ndarray:
+    """Frozen copy of the package's earlier `pareto_filter`: `np.unique`
+    rows, then level 0 of the nondominated sort."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    if pts.size == 0:
+        return pts.reshape(0, points.shape[1] if points.ndim == 2 else 0)
+    return pts[nondominated_sort(pts, stop=1)[0]]
+
+
+def hv_slab_loop(front, ref) -> float:
+    """Frozen copy of the package's earlier `hv`: a Python loop over the
+    x-slabs, each summing its 2-D staircase stair by stair."""
+    pts = np.asarray(front, dtype=float).reshape(-1, 3)
+    ref = np.asarray(ref, dtype=float)
+    if len(pts) == 0:
+        return 0.0
+    pts = pareto_filter_unique(pts[(pts < ref).all(axis=1)])
+    if len(pts) == 0:
+        return 0.0
+    xs = np.unique(pts[:, 0])
+    volume = 0.0
+    for i, x in enumerate(xs):
+        depth = (xs[i + 1] if i + 1 < len(xs) else ref[0]) - x
+        active = pts[pts[:, 0] <= x][:, 1:]
+        volume += depth * _staircase_area(active, ref[1], ref[2])
+    return float(volume)
+
+
+def _staircase_area(yz: np.ndarray, ref_y: float, ref_z: float) -> float:
+    order = np.lexsort((yz[:, 1], yz[:, 0]))  # y ascending, z ascending within
+    area = 0.0
+    best_z = ref_z
+    stairs: list[tuple[float, float]] = []
+    for y, z in yz[order]:
+        if z < best_z:
+            stairs.append((y, z))
+            best_z = z
+    for i, (y, z) in enumerate(stairs):
+        next_y = stairs[i + 1][0] if i + 1 < len(stairs) else ref_y
+        area += (next_y - y) * (ref_z - z)
+    return area
 
 
 def igd_naive(front, reference) -> float:
@@ -694,3 +742,22 @@ def dfs_cst_replay_violations(ws: WorkflowSet, catalog: ResourceCatalog, plan) -
         if unclustered:
             problems.append(f"{w.id}: tasks never clustered: {sorted(unclustered)}")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests need
+
+
+def entry_set(w: Workflow) -> tuple[str, ...]:
+    """Tasks of `w` with no predecessors, sorted. Non-empty for any non-empty DAG."""
+    return tuple(sorted(t.id for t in w.tasks if not w.predecessors(t.id)))
+
+
+def read_run_scores_csv(path) -> list[RunScore]:
+    """The rows of a <ds>_runs.csv that `write_run_scores_csv` wrote."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return [
+        RunScore(r["dataset"], r["algorithm"], int(r["repetition"]), float(r["igd"]), float(r["hv"]))
+        for r in rows
+    ]

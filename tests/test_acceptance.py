@@ -32,7 +32,7 @@ from fairsched.evaluation import Evaluator, comm_time, exec_cost, exec_time
 from fairsched.experiment import ExperimentConfig, run_experiment
 from fairsched.generator import GeneratorSpec, generate
 from fairsched.io import default_catalog
-from fairsched.metrics import HV_REFERENCE, aggregate_scores, hv, igd, read_run_scores_csv
+from fairsched.metrics import HV_REFERENCE, aggregate_scores, hv, igd
 from fairsched.model import Edge, Resource, ResourceCatalog, Task, Workflow, WorkflowSet
 from fairsched.nsga3 import OptimizerConfig, run_with_evaluator
 from oracles import (
@@ -44,6 +44,7 @@ from oracles import (
     mc_hypervolume,
     random_catalog,
     random_workflow_set,
+    read_run_scores_csv,
 )
 
 TOL = 1e-9

@@ -22,10 +22,10 @@ from fairsched.experiment import (
     score_stored_runs,
 )
 from fairsched.generator import GeneratorSpec, stable_seed
-from fairsched.io import default_catalog, load_native, load_resources, save_native
-from fairsched.metrics import read_run_scores_csv
+from fairsched.io import FormatError, default_catalog, load_native, load_resources, save_native
 from fairsched.model import validate
 from fairsched.nsga3 import Front, OptimizerConfig
+from oracles import read_run_scores_csv
 
 
 def tiny_gen(seed=5, n_workflows=2):
@@ -297,20 +297,36 @@ def test_failing_dataset_stops_the_pool(tmp_path, monkeypatch):
     """The second dataset fails at once in its worker while the first runs
     on: the first failure in config order is raised, as without workers,
     and no worker is left."""
+    (tmp_path / "broken.json").write_text("{")
     datasets = (
         DatasetSpec(name="slow", generator=replace(tiny_gen(seed=7, n_workflows=24), task_count_range=(20, 30))),
-        DatasetSpec(name="gone", path=str(tmp_path / "no_such.json")),
+        DatasetSpec(name="broken", path=str(tmp_path / "broken.json")),
         *(DatasetSpec(name=f"small{i:02d}", generator=tiny_gen(seed=i)) for i in range(2, 6)),
     )
     messages = []
     for cpus in (1, 2):
         monkeypatch.setattr(experiment, "_available_cpus", lambda: cpus)
         cfg = tiny_config(tmp_path / f"cpus{cpus}", datasets=datasets)
-        with pytest.raises(ConfigError, match="dataset 'gone': file .* does not exist") as raised:
+        with pytest.raises(FormatError, match="broken.json: invalid JSON") as raised:
             run_experiment(cfg)
         assert multiprocessing.active_children() == []
         messages.append(str(raised.value))
     assert messages[0] == messages[1]
+
+
+def test_missing_native_dataset_fails_before_any_worker_or_record(tmp_path, monkeypatch):
+    """The file is checked before config.json is written, so no worker runs
+    the first dataset and writes its records."""
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)
+    datasets = (
+        DatasetSpec(name="fine", generator=tiny_gen(seed=5)),
+        DatasetSpec(name="gone", path=str(tmp_path / "no_such.json")),
+    )
+    out = tmp_path / "results"
+    with pytest.raises(ConfigError, match=r"^dataset 'gone': file .*no_such.json does not exist$"):
+        run_experiment(tiny_config(tmp_path, datasets=datasets, output_dir=str(out)))
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_run_experiment_accepts_file_datasets(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from fairsched.generator import GeneratorSpec, generate, stable_seed, table2_specs
 from fairsched.io import save_native, workflow_set_to_dict
 from fairsched.model import validate
+from oracles import entry_set
 
 
 def levels_of(w):
@@ -89,7 +90,7 @@ def test_structure_counts_and_widths():
             else:
                 assert 1 <= len(preds) <= 3
                 assert all(depth[p] == depth[t.id] - 1 for p in preds)
-        assert set(w.entry_set()) == {tid for tid, lv in depth.items() if lv == 0}
+        assert set(entry_set(w)) == {tid for tid, lv in depth.items() if lv == 0}
     for w in ws:
         for t in w.tasks:
             assert 10.0 <= t.workload <= 100.0
@@ -100,7 +101,7 @@ def test_low_parallelism_small_tasks_degenerates_to_chains():
     for w in ws:
         # ceil(0.05 * n) == 1 for n <= 20, so each workflow is a chain
         assert all(len(w.successors(t.id)) <= 1 for t in w.tasks)
-        assert len(w.entry_set()) == 1
+        assert len(entry_set(w)) == 1
 
 
 def test_full_parallelism_can_put_everything_in_one_layer():

@@ -6,6 +6,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairsched.metrics import (
     HV_REFERENCE,
@@ -18,14 +20,20 @@ from fairsched.metrics import (
     normalize,
     pareto_filter,
     rdi,
-    read_run_scores_csv,
     score_fronts,
     union_reference,
     write_aggregate_csv,
     write_rdi_csv,
     write_run_scores_csv,
 )
-from oracles import dominance_filter_naive, igd_naive, mc_hypervolume
+from oracles import (
+    dominance_filter_naive,
+    hv_slab_loop,
+    igd_naive,
+    mc_hypervolume,
+    pareto_filter_unique,
+    read_run_scores_csv,
+)
 
 
 def test_pareto_filter_hand_case():
@@ -131,6 +139,68 @@ def test_hv_matches_monte_carlo():
         exact = hv(front)
         est, sigma = mc_hypervolume(front, HV_REFERENCE, n_samples=200_000, seed=trial)
         assert abs(exact - est) <= 5 * sigma + 1e-9
+
+
+# Coordinates drawn from a small pool tie often; 1.1 lies on the reference
+# boundary and 1.5 beyond it, and -0.0 ties with 0.0.
+COORD = st.sampled_from([-0.0, 0.0, 0.2, 0.5, 0.7, 1.1, 1.5]) | st.floats(-0.5, 1.6)
+
+
+@st.composite
+def point_sets(draw, max_rows=40):
+    """Up to max_rows points, plus copies of up to five of them. Half the
+    sets are drawn by numpy: mostly nondominated points with full 53-bit
+    mantissas, whose many stairs and slabs round differently when summed
+    in another order."""
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        pts = rng.dirichlet(np.ones(3), size=draw(st.integers(1, max_rows))) * rng.uniform(0.5, 1.2)
+    else:
+        pts = np.array(draw(st.lists(st.tuples(COORD, COORD, COORD), max_size=max_rows)), dtype=float).reshape(-1, 3)
+    if len(pts):
+        pts = np.vstack([pts, pts[draw(st.lists(st.integers(0, len(pts) - 1), max_size=5))]])
+    return pts
+
+
+EDGE_SETS = [
+    np.empty((0, 3)),
+    np.array([[0.3, 0.6, 0.9]]),  # one point
+    np.array([[1.2, 0.0, 0.0], [0.0, 1.1, 0.0], [1.1, 1.1, 1.1]]),  # all clipped
+    np.array([[0.0, 0.5, 1.1], [0.5, 0.0, 0.5], [1.0999999999999999, 0.2, 0.2]]),  # on and just inside the boundary
+    np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 0.2], [0.5, 0.2, 0.5], [0.2, 0.5, 0.5], [0.5, 0.5, 0.5]]),  # ties
+    np.array([[0.0, 0.5, 0.5], [-0.0, 0.5, 0.5], [0.5, -0.0, 0.0], [0.5, 0.0, -0.0]]),  # signed zeros
+]
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(front=point_sets(), ref=st.sampled_from([HV_REFERENCE, (1.0, 1.0, 1.0), (0.6, 1.2, 0.8)]))
+@example(front=EDGE_SETS[0], ref=HV_REFERENCE)
+@example(front=EDGE_SETS[1], ref=HV_REFERENCE)
+@example(front=EDGE_SETS[2], ref=HV_REFERENCE)
+@example(front=EDGE_SETS[3], ref=HV_REFERENCE)
+@example(front=EDGE_SETS[4], ref=HV_REFERENCE)
+@example(front=EDGE_SETS[5], ref=HV_REFERENCE)
+def test_hv_matches_slab_loop_bit_for_bit(front, ref):
+    assert hv(front, ref).hex() == hv_slab_loop(front, ref).hex()
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(points=point_sets())
+@example(points=EDGE_SETS[0])
+@example(points=EDGE_SETS[1])
+@example(points=EDGE_SETS[4])
+@example(points=EDGE_SETS[5])
+@example(points=np.vstack([EDGE_SETS[5]] * 6))  # more rows than np.unique sorts stably
+def test_pareto_filter_matches_unique_filter_bit_for_bit(points):
+    """np.unique keeps one of two rows that differ only in the sign of a
+    zero, which one depending on its unstable sort; pareto_filter writes
+    every zero as +0.0, so the oracle's rows are compared the same way.
+    Adding +0.0 changes no other value."""
+    got = pareto_filter(points)
+    want = pareto_filter_unique(points) + 0.0
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
 
 
 def test_rdi_cases():
