@@ -399,6 +399,35 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _log_setup() -> tuple[int, int, logging.Formatter | None] | None:
+    """How this process shows `fairsched` records: the package logger's
+    effective level, and the level and formatter of the first handler other
+    than a `NullHandler` that its records reach; None when there is none."""
+    logger = node = logging.getLogger("fairsched")
+    while node is not None:
+        for handler in node.handlers:
+            if not isinstance(handler, logging.NullHandler):
+                return logger.getEffectiveLevel(), handler.level, handler.formatter
+        node = node.parent if node.propagate else None
+    return None
+
+
+def _init_worker(setup: tuple[int, int, logging.Formatter | None] | None) -> None:
+    """A worker that inherited no logging handler (spawn and forkserver do
+    not fork the caller) shows `fairsched` records on stderr at the
+    caller's level and in its format; a forked worker keeps the handlers it
+    inherited, so every record is shown once either way."""
+    logger = logging.getLogger("fairsched")
+    if setup is None or logger.hasHandlers():
+        return
+    level, handler_level, formatter = setup
+    handler = logging.StreamHandler()
+    handler.setLevel(handler_level)
+    handler.setFormatter(formatter)
+    logger.addHandler(handler)
+    logger.setLevel(level)
+
+
 # The names the dataset loop looks up in this module at call time, as
 # imported; while one is replaced, run_experiment keeps datasets in-process.
 _AS_IMPORTED = {
@@ -455,7 +484,10 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     config order is raised, as with one worker, and no worker outlives the
     call. Worker processes are started the platform's default way; a
     script that calls this must guard its top level with
-    `if __name__ == "__main__":` where that way is not fork.
+    `if __name__ == "__main__":` where that way is not fork. A worker that
+    does not inherit the caller's logging handlers logs the per-run
+    progress lines to stderr at the caller's `fairsched` level and in the
+    format of its first handler.
 
     Returns the output directory. Layout:
 
@@ -489,7 +521,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         # that imports it, and most users of this module never start a pool
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(workers)
+        pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(_log_setup(),))
         try:
             # results in config order: the first failure in config order is raised
             results = list(pool.map(run_one, cfg.datasets))

@@ -78,7 +78,8 @@ def hv(front, ref=HV_REFERENCE) -> float:
     """Exact 3-D hypervolume dominated by `front` up to `ref` (minimization).
 
     Points that do not strictly dominate the reference point contribute
-    nothing; they are clipped and logged. Dominated or duplicate points are
+    nothing; they are clipped and logged at DEBUG level (`score_fronts`
+    warns once for all of its runs). Dominated or duplicate points are
     harmless. Computed by sweeping the first objective: each distinct x
     opens a slab up to the next one (the last up to ref), whose area is the
     2-D staircase of the points with x up to its own. All slabs are swept
@@ -92,7 +93,7 @@ def hv(front, ref=HV_REFERENCE) -> float:
         return 0.0
     inside = (pts < ref).all(axis=1)
     if not inside.all():
-        log.warning("hv: clipped %d point(s) not dominating the reference %s", int((~inside).sum()), ref.tolist())
+        log.debug("hv: clipped %d point(s) not dominating the reference %s", int((~inside).sum()), ref.tolist())
     pts = pareto_filter(pts[inside])
     if len(pts) == 0:
         return 0.0
@@ -164,12 +165,15 @@ def score_fronts(
 ) -> list[RunScore]:
     """IGD and hypervolume of every run front against the dataset's union
     reference. Bounds are never mixed across datasets: callers score each
-    dataset separately."""
+    dataset separately. One warning names the runs whose normalized fronts
+    have points that `hv` clips, and the runs that score a hypervolume of 0."""
     all_fronts = [f for runs in fronts_by_algorithm.values() for f in runs]
     ref_pts_raw = union_reference(all_fronts)
     bounds = norm_bounds(ref_pts_raw)
     ref_pts = normalize(ref_pts_raw, bounds)
     scores: list[RunScore] = []
+    clipped: list[str] = []
+    empty: list[str] = []
     for algorithm in fronts_by_algorithm:
         for rep, front in enumerate(fronts_by_algorithm[algorithm]):
             norm_front = normalize(front, bounds)
@@ -177,7 +181,18 @@ def score_fronts(
                 igd_value = igd(norm_front, ref_pts)
             else:
                 igd_value = igd(front, ref_pts_raw)
-            scores.append(RunScore(dataset, algorithm, rep, igd_value, hv(norm_front)))
+            hv_value = hv(norm_front)
+            scores.append(RunScore(dataset, algorithm, rep, igd_value, hv_value))
+            beyond = int((~(norm_front < HV_REFERENCE).all(axis=1)).sum())
+            if beyond:
+                clipped.append(f"{algorithm} rep {rep} ({beyond})")
+            if hv_value == 0.0:
+                empty.append(f"{algorithm} rep {rep}")
+    if clipped or empty:
+        log.warning(
+            "hv on %s: %d run(s) have points beyond the reference %s, clipped: %s; %d run(s) score hv = 0: %s",
+            dataset, len(clipped), list(HV_REFERENCE), ", ".join(clipped) or "none", len(empty), ", ".join(empty) or "none",
+        )
     return scores
 
 

@@ -22,10 +22,17 @@ every slot's draws (tournaments, crossover cut, mutation coins and
 resampled genes, in the order a per-child loop would draw them), then
 builds all its children at once in one gene matrix: a gather of first
 parents, the second parents' genes from each cut on, and the resampled
-genes written through one mutation mask. It decodes them in one
+genes written through one mutation mask. A child's resampled genes are
+drawn one by one when it has a few hits and in one sized call when it has
+many; both give the same values and generator state, and each is the
+cheaper for its hit count. It decodes the children in one
 `Evaluator.objectives` call. Truncation sorts with one n x n dominance
-matrix, stopping at the split level, and niches over Python lists of open
-members and count buckets of niches.
+matrix, stopping at the split level. It normalizes with the three ASFs
+stacked in one array and associates against unit directions computed once
+per set of reference directions. It niches over per-niche lists of open
+positions and count buckets of niches, both cut from a stable `argsort`
+at `bincount` offsets, and the niche draws of a run of count-0 picks are
+made in one call against their falling bounds.
 
 Determinism: every random decision draws from a generator keyed by
 (seed, generation, slot), with the state of `SeedSequence(seed,
@@ -44,7 +51,7 @@ from __future__ import annotations
 import csv
 from bisect import insort
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -163,39 +170,58 @@ def nondominated_sort(objectives: np.ndarray, stop: int | None = None) -> list[n
     return levels
 
 
+# weights[j] of the achievement scalarizing function that finds objective j's
+# extreme point: 1 on objective j, 1e-6 elsewhere
+_ASF_WEIGHTS = np.where(np.eye(N_OBJECTIVES, dtype=bool), 1.0, 1e-6)[:, None, :]
+
+
 def _normalize(objs: np.ndarray) -> np.ndarray:
     """Adaptive normalization: translate by the ideal point, divide by
     hyperplane intercepts through the ASF extreme points, falling back to
-    the nadir of the pool when the system is singular or degenerate."""
-    ideal = objs.min(axis=0)
-    shifted = objs - ideal
-    nadir_span = shifted.max(axis=0)
-    weights = np.full((N_OBJECTIVES, N_OBJECTIVES), 1e-6)
-    np.fill_diagonal(weights, 1.0)
-    extremes = np.empty((N_OBJECTIVES, N_OBJECTIVES))
-    for j in range(N_OBJECTIVES):
-        asf = (shifted / weights[j]).max(axis=1)
-        extremes[j] = shifted[int(np.argmin(asf))]
-    intercepts = nadir_span.copy()
+    the nadir of the pool when the system is singular or degenerate. The
+    three ASFs are one stacked division and maximum, so every quotient is
+    the one a per-objective loop computes."""
+    shifted = objs - objs.min(axis=0)
+    extremes = shifted[(shifted / _ASF_WEIGHTS).max(axis=2).argmin(axis=1)]
     try:
         plane = np.linalg.solve(extremes, np.ones(N_OBJECTIVES))
-        with np.errstate(divide="ignore"):
-            candidate = 1.0 / plane
-        if np.all(np.isfinite(candidate)) and np.all(candidate > 1e-12):
-            intercepts = candidate
     except np.linalg.LinAlgError:
-        pass
-    intercepts = np.where(intercepts > 1e-12, intercepts, 1.0)
-    return shifted / intercepts
+        plane = None
+    # a zero in the plane is an infinite intercept, never accepted: it is
+    # not divided, so numpy has no division by zero to warn about
+    if plane is not None and plane.all():
+        intercepts = 1.0 / plane
+        if np.isfinite(intercepts).all() and (intercepts > 1e-12).all():
+            return shifted / intercepts
+    span = shifted.max(axis=0)
+    return shifted / np.where(span > 1e-12, span, 1.0)
+
+
+@lru_cache(maxsize=8)
+def _unit_directions(lattice: bytes, n_obj: int) -> np.ndarray:
+    """Unit vectors along the reference directions whose float64 bytes are
+    `lattice`, computed once per set of directions (read-only, as it is shared)."""
+    refs = np.frombuffer(lattice).reshape(-1, n_obj)
+    unit = refs / np.linalg.norm(refs, axis=1, keepdims=True)
+    unit.flags.writeable = False
+    return unit
 
 
 def _associate(norm: np.ndarray, refs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest reference line per point: (niche index, perpendicular distance)."""
-    unit = refs / np.linalg.norm(refs, axis=1, keepdims=True)
+    refs = np.asarray(refs, dtype=float)
+    unit = _unit_directions(refs.tobytes(), refs.shape[1])
     proj = norm @ unit.T
     sq = (norm * norm).sum(axis=1, keepdims=True) - proj**2
     dist = np.sqrt(np.maximum(sq, 0.0))
-    return dist.argmin(axis=1), dist.min(axis=1)
+    niche_of = dist.argmin(axis=1)
+    return niche_of, dist[np.arange(len(dist)), niche_of]
+
+
+# Up to this many bounded draws are made one by one, more in one call: k
+# scalar `integers` draws give the values and generator state of one call
+# with `size=k` or with k bounds, and up to here cost less than that call.
+_FEW_DRAWS = 4
 
 
 def niche_preserve(objectives: np.ndarray, levels: list[np.ndarray], k: int, refs: np.ndarray, rng) -> list[int]:
@@ -208,50 +234,65 @@ def niche_preserve(objectives: np.ndarray, levels: list[np.ndarray], k: int, ref
     selected: list[int] = []
     li = 0
     while li < len(levels) and len(selected) + len(levels[li]) <= k:
-        selected.extend(int(i) for i in levels[li])
+        selected += levels[li].tolist()
         li += 1
     if len(selected) == k:
         return selected
-    considered = selected + [int(i) for i in levels[li]]
-    niche_of, dist = _associate(_normalize(objs[considered]), refs)
+    considered = selected + levels[li].tolist()
+    pool = objs[considered]
+    niche_of, dist = _associate(_normalize(pool), refs)
+    n_selected = len(selected)
+    remaining = k - n_selected
     chosen: list[int] = []  # boundary positions picked, in pick order
-    remaining = k - len(selected)
 
     # corner guard: keep each objective's best point alive through the split;
     # argmin takes the first minimum, so ties go to the smallest position
-    for j in range(N_OBJECTIVES):
-        best_pos = int(np.argmin(objs[considered, j]))
-        if len(chosen) < remaining and best_pos >= len(selected) and best_pos not in chosen:
+    for best_pos in pool.argmin(axis=0).tolist():
+        if len(chosen) < remaining and best_pos >= n_selected and best_pos not in chosen:
             chosen.append(best_pos)
 
     # open positions per niche in ascending order, and every niche bucketed
     # by its count of closed positions, ascending niche order in a bucket
+    is_open = np.arange(len(considered)) >= n_selected
+    is_open[chosen] = False
+    counts = np.bincount(niche_of[~is_open], minlength=len(refs))
+    open_pos = np.flatnonzero(is_open)
+    open_niche = niche_of[open_pos]
+    by_niche = open_pos[np.argsort(open_niche, kind="stable")].tolist()
+    ends = np.bincount(open_niche, minlength=len(refs)).cumsum().tolist()
+    open_at = [by_niche[start:end] for start, end in zip([0] + ends, ends)]
+    by_count = np.argsort(counts, kind="stable").tolist()
+    ends = np.bincount(counts).cumsum().tolist()
+    buckets = {count: by_count[start:end] for count, (start, end) in enumerate(zip([0] + ends, ends)) if end > start}
+
     dist = dist.tolist()
-    counts = [0] * len(refs)
-    open_at: list[list[int]] = [[] for _ in refs]
-    for pos, niche in enumerate(niche_of.tolist()):
-        if pos < len(selected) or pos in chosen:
-            counts[niche] += 1
-        else:
-            open_at[niche].append(pos)
-    buckets: dict[int, list[int]] = {}
-    for niche, count in enumerate(counts):
-        buckets.setdefault(count, []).append(niche)
+    integers = rng.integers
     low = 0  # the minimum count over live niches never decreases
+    tied = buckets.get(0, [])
+    ahead: list[int] = []  # niche draws made in advance, the next one last
     while len(chosen) < remaining:
-        while not buckets.get(low):
+        while not tied:
             low += 1
-        tied = buckets[low]
-        niche = tied[rng.integers(0, len(tied))] if len(tied) > 1 else tied[0]
-        tied.remove(niche)
+            tied = buckets.get(low, [])
+        if low == 0 and not ahead and min(remaining - len(chosen), len(tied) - 1) > _FEW_DRAWS:
+            # a pick at count 0 draws no member, so each of the next `visits`
+            # iterations pops this bucket with one draw below its length:
+            # one draw against those falling bounds makes all of theirs
+            visits = min(remaining - len(chosen), len(tied) - 1)
+            ahead = integers(0, np.arange(len(tied), len(tied) - visits, -1)).tolist()[::-1]
+        if ahead:
+            niche = tied.pop(ahead.pop())
+        else:
+            niche = tied.pop(integers(0, len(tied))) if len(tied) > 1 else tied.pop()
         members = open_at[niche]
         if not members:
             continue  # a niche with no open members leaves for good
         if low == 0:
             pick = min(members, key=dist.__getitem__)  # first minimum
+            members.remove(pick)
         else:
-            pick = members[rng.integers(0, len(members))]
-        members.remove(pick)
+            # one member draws nothing: a draw below 1 takes no random bits
+            pick = members.pop(integers(0, len(members))) if len(members) > 1 else members.pop()
         chosen.append(pick)
         insort(buckets.setdefault(low + 1, []), niche)
     return selected + [considered[p] for p in sorted(chosen)]
@@ -271,61 +312,59 @@ def _select_survivors(objs: np.ndarray, k: int, refs: np.ndarray, rng) -> tuple[
     return keep, rank[keep], crowd
 
 
-def _tournament(rank: list[int], crowd: list[int], rng) -> int:
-    """Binary tournament over population rows: lower rank, then less crowded, then a coin."""
-    n = len(rank)
-    i, j = rng.integers(0, n), rng.integers(0, n)
-    if rank[i] != rank[j]:
-        return i if rank[i] < rank[j] else j
-    if crowd[i] != crowd[j]:
-        return i if crowd[i] < crowd[j] else j
-    return i if rng.random() < 0.5 else j
-
-
 def _offspring(
     genes: np.ndarray, rank: np.ndarray, crowd: np.ndarray, rngs, cfg: OptimizerConfig, n_resources: int
 ) -> np.ndarray:
     """One child per population row, a pair per slot generator in `rngs`.
 
-    Each slot draws, in order: two tournaments, each two scalar row
-    indices and a coin when they tie (the values and generator state that
-    one `integers(0, n, size=2)` call gives: the 32-bit bounded draws
-    buffer in the bit generator, not in the call); a crossover coin when
-    there are two or more genes, and a cut point when it hits; then for
-    each child a coin per gene when mutation is on, and the resampled genes
-    in one call when a coin hits. An odd population's last slot builds one child, and draws nothing
-    for the second. A child takes its first parent's genes before the cut
+    Each slot draws, in order: two binary tournaments, each two scalar row
+    indices and a coin when they tie on rank and crowding (the values and
+    generator state that one `integers(0, n, size=2)` call gives: the
+    32-bit bounded draws buffer in the bit generator, not in the call); a
+    crossover coin when there are two or more genes, and a cut point when
+    it hits; then for each child a coin per gene when mutation is on, and
+    the resampled genes when a coin hits, one scalar draw per hit up to
+    `_FEW_DRAWS` and one sized draw above (the same values and state). An
+    odd population's last slot builds one child, and draws nothing for the
+    second. A tournament keeps the row of lower rank, then of lower crowd
+    (nonnegative). A child takes its first parent's genes before the cut
     and its second parent's from it (no crossover puts the cut at the end),
     with the hit genes replaced; all children are built at once from those
     draws.
     """
     size, n = genes.shape
-    rank, crowd = rank.tolist(), crowd.tolist()
+    fitness = (rank * (int(crowd.max()) + 1) + crowd).tolist()  # rank, then crowd
+    crossover_rate, mutation_rate = cfg.crossover_rate, cfg.mutation_rate
+    mutating = n > 0 and mutation_rate > 0.0
     first: list[int] = []  # per child, the parent of its genes before the cut
     second: list[int] = []  # and the parent of its genes from the cut on
     cut_at: list[int] = []
     mutated = np.zeros((size, n), dtype=bool)
-    values: list[np.ndarray] = []
+    rows = list(mutated)  # views, cheaper to slice than the matrix
+    values: list[int] = []
     for c, rng in zip(range(0, size, 2), rngs):
-        pa = _tournament(rank, crowd, rng)
-        pb = _tournament(rank, crowd, rng)
-        k = min(2, size - c)
-        first += (pa, pb)[:k]
-        second += (pb, pa)[:k]
-        cut = n
-        if n >= 2 and rng.random() < cfg.crossover_rate:
-            cut = int(rng.integers(1, n))
-        cut_at += [cut] * k
-        if n and cfg.mutation_rate > 0.0:
-            for row in mutated[c : c + k]:
-                np.less(rng.random(n), cfg.mutation_rate, out=row)
+        integers, random = rng.integers, rng.random
+        i, j = integers(0, size), integers(0, size)
+        pa = j if fitness[j] < fitness[i] or fitness[j] == fitness[i] and random() >= 0.5 else i
+        i, j = integers(0, size), integers(0, size)
+        pb = j if fitness[j] < fitness[i] or fitness[j] == fitness[i] and random() >= 0.5 else i
+        cut = int(integers(1, n)) if n >= 2 and random() < crossover_rate else n
+        first += (pa, pb)
+        second += (pb, pa)
+        cut_at += (cut, cut)
+        if mutating:
+            for row in rows[c : c + 2]:
+                np.less(random(n), mutation_rate, out=row)
                 hits = np.count_nonzero(row)
-                if hits:
-                    values.append(rng.integers(0, n_resources, size=hits))
-    children = genes[first]
-    np.copyto(children, genes[second], where=np.arange(n) >= np.array(cut_at)[:, None])
+                if hits > _FEW_DRAWS:
+                    values += integers(0, n_resources, size=hits).tolist()
+                else:
+                    for _ in range(hits):
+                        values.append(integers(0, n_resources))
+    children = genes[first[:size]]
+    np.copyto(children, genes[second[:size]], where=np.arange(n) >= np.array(cut_at[:size])[:, None])
     if values:
-        children[mutated] = np.concatenate(values)  # row-major, the order of the draws
+        children[mutated] = values  # row-major, the order of the draws
     return children
 
 

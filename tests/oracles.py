@@ -5,9 +5,12 @@ event-driven rather than a single decode walk, HEFT is re-derived from its
 textbook description, dominance filtering and IGD are plain double loops,
 and hypervolume is Monte Carlo. Deliberately slow and obvious. Frozen
 copies of earlier package code pin bit-exact behaviour instead:
-`niche_preserve_lists`, the optimizer's list-based survivor pick (it
-shares normalization and niche association with the package and pins the
-selection loop's picks and random draws), `offspring_slots`, the
+`niche_preserve_lists`, the optimizer's list-based survivor pick (it pins
+the selection loop's picks and random draws), with the per-objective
+normalization `normalize_per_objective`, the per-call niche association
+`associate_per_call` and the truncation around them,
+`select_survivors_lists`, which the stacked and bucketed forms must match
+bit for bit and draw for draw, `offspring_slots`, the
 optimizer's per-child tournament, crossover and mutation loop, which the
 batched offspring step must match bit for bit, `_rng`, the optimizer's
 slot generator built by numpy's own `SeedSequence`, which the optimizer's
@@ -33,7 +36,7 @@ import numpy as np
 
 from fairsched.metrics import RunScore
 from fairsched.model import Edge, GraphError, Resource, ResourceCatalog, Task, Workflow, WorkflowSet
-from fairsched.nsga3 import N_OBJECTIVES, _associate, _normalize, nondominated_sort
+from fairsched.nsga3 import N_OBJECTIVES, nondominated_sort
 
 
 def _transfer(data_size, src: Resource, dst: Resource) -> float:
@@ -313,6 +316,56 @@ def mc_hypervolume(points, ref, n_samples: int, seed: int):
 # survivor selection oracle
 
 
+def normalize_per_objective(objs: np.ndarray) -> np.ndarray:
+    """Adaptive normalization with one ASF extreme point per objective in a
+    loop: translate by the ideal point, divide by hyperplane intercepts
+    through the extreme points, and fall back to the nadir of the pool when
+    the system is singular or degenerate."""
+    ideal = objs.min(axis=0)
+    shifted = objs - ideal
+    nadir_span = shifted.max(axis=0)
+    weights = np.full((N_OBJECTIVES, N_OBJECTIVES), 1e-6)
+    np.fill_diagonal(weights, 1.0)
+    extremes = np.empty((N_OBJECTIVES, N_OBJECTIVES))
+    for j in range(N_OBJECTIVES):
+        asf = (shifted / weights[j]).max(axis=1)
+        extremes[j] = shifted[int(np.argmin(asf))]
+    intercepts = nadir_span.copy()
+    try:
+        plane = np.linalg.solve(extremes, np.ones(N_OBJECTIVES))
+        with np.errstate(divide="ignore"):
+            candidate = 1.0 / plane
+        if np.all(np.isfinite(candidate)) and np.all(candidate > 1e-12):
+            intercepts = candidate
+    except np.linalg.LinAlgError:
+        pass
+    intercepts = np.where(intercepts > 1e-12, intercepts, 1.0)
+    return shifted / intercepts
+
+
+def associate_per_call(norm: np.ndarray, refs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest reference line per point, unit directions built on every
+    call, and the distance reduced a second time with `min`."""
+    unit = refs / np.linalg.norm(refs, axis=1, keepdims=True)
+    proj = norm @ unit.T
+    sq = (norm * norm).sum(axis=1, keepdims=True) - proj**2
+    dist = np.sqrt(np.maximum(sq, 0.0))
+    return dist.argmin(axis=1), dist.min(axis=1)
+
+
+def select_survivors_lists(objs: np.ndarray, k: int, refs: np.ndarray, rng):
+    """The optimizer's truncation to k rows, (keep, rank, crowd), over the
+    list-based pick and the two functions above."""
+    levels = nondominated_sort(objs, stop=k)
+    rank = np.empty(len(objs), dtype=int)
+    for li, level in enumerate(levels):
+        rank[level] = li
+    keep = np.array(niche_preserve_lists(objs, levels, k, refs, rng))
+    niche_of, _ = associate_per_call(normalize_per_objective(objs[keep]), refs)
+    crowd = np.bincount(niche_of, minlength=len(refs))[niche_of]
+    return keep, rank[keep], crowd
+
+
 def niche_preserve_lists(objectives, levels, k: int, refs, rng) -> list[int]:
     """List-based reference-direction survivor pick: candidate lists,
     per-niche list scans and keyed `min`s, with the draw order of the
@@ -330,8 +383,8 @@ def niche_preserve_lists(objectives, levels, k: int, refs, rng) -> list[int]:
         return selected
     boundary = [int(i) for i in levels[li]]
     considered = selected + boundary
-    norm = _normalize(objs[considered])
-    niche_of, dist = _associate(norm, refs)
+    norm = normalize_per_objective(objs[considered])
+    niche_of, dist = associate_per_call(norm, refs)
     counts = np.zeros(len(refs), dtype=int)
     for pos in range(len(selected)):
         counts[niche_of[pos]] += 1

@@ -248,6 +248,39 @@ def test_workers_not_started_by_fork_write_the_same_tree(tmp_path, monkeypatch, 
     assert _tree(tmp_path / method / "results") == serial
 
 
+_LOGGING_SCRIPT = """
+import logging, multiprocessing, sys
+from fairsched import experiment
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    logging.basicConfig(level=sys.argv[2], format="%(levelname)s %(name)s| %(message)s")
+    experiment._available_cpus = lambda: 2  # a pool even on one CPU
+    experiment.run_experiment(experiment.load_config("config.json"))
+"""
+
+
+@pytest.mark.parametrize(
+    "method, level", [("fork", "INFO"), ("spawn", "INFO"), ("forkserver", "INFO"), ("spawn", "WARNING")]
+)
+def test_worker_progress_lines_appear_once(tmp_path, method, level):
+    """Two datasets in two workers: every per-run progress line is shown
+    once, in the caller's format, however the workers were started; at the
+    caller's WARNING level none is."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    doc = tiny_config(tmp_path, output_dir="results", clusterers=("none",)).to_dict()
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    (tmp_path / "start.py").write_text(_LOGGING_SCRIPT)
+    proc = subprocess.run(
+        [sys.executable, "start.py", method, level], cwd=tmp_path, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    shown = [line for line in proc.stderr.splitlines() if line.startswith("INFO fairsched.experiment| ")]
+    expected = [] if level == "WARNING" else [f"{ds} / none / rep {rep}" for ds in ("dsA", "dsB") for rep in (0, 1)]
+    assert sorted(line.split("| ")[1].split(":")[0] for line in shown) == expected, proc.stderr
+
+
 def test_worker_count_is_capped_by_cpus_and_datasets(tmp_path, monkeypatch):
     """The pool is asked for its size and refused, so no worker starts."""
     import concurrent.futures
@@ -257,7 +290,7 @@ def test_worker_count_is_capped_by_cpus_and_datasets(tmp_path, monkeypatch):
 
     sizes = []
 
-    def recording_pool(workers):
+    def recording_pool(workers, **options):
         sizes.append(workers)
         raise NoPool
 

@@ -123,13 +123,39 @@ def test_hv_ignores_dominated_and_duplicate_points():
 
 
 def test_hv_clips_points_beyond_reference(caplog):
+    """A clipped point is logged per front at DEBUG level only; the warning
+    comes from `score_fronts`, once per dataset."""
     inside = np.array([[0.5, 0.5, 0.5]])
     outside = np.array([[1.2, 0.0, 0.0]])
-    with caplog.at_level(logging.WARNING, logger="fairsched.metrics"):
+    with caplog.at_level(logging.DEBUG, logger="fairsched.metrics"):
         v = hv(np.vstack([inside, outside]))
-    assert any("clipped" in r.message for r in caplog.records)
+    assert [r.levelname for r in caplog.records if "clipped" in r.message] == ["DEBUG"]
     assert v == pytest.approx(hv(inside), abs=1e-15)
     assert hv(outside) == 0.0
+
+
+def test_score_fronts_warns_once_naming_clipped_and_zero_runs(caplog):
+    """Points dominated in the union and far beyond it normalize past the
+    reference point: one warning names each run with clipped points (and
+    how many), and each run whose hypervolume is 0."""
+    corners = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    fronts = {
+        "a": [np.vstack([corners, [[2.0, 2.0, 2.0]]]), corners],
+        "b": [np.array([[5.0, 5.0, 5.0], [6.0, 5.0, 5.0]])],
+    }
+    with caplog.at_level(logging.DEBUG, logger="fairsched.metrics"):
+        scores = score_fronts("d", fronts)
+    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1
+    message = warnings[0].getMessage()
+    assert "hv on d:" in message
+    assert "2 run(s) have points beyond the reference [1.1, 1.1, 1.1], clipped: a rep 0 (1), b rep 0 (2)" in message
+    assert "1 run(s) score hv = 0: b rep 0" in message
+    assert [s.hv == 0.0 for s in scores] == [False, False, True]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="fairsched.metrics"):
+        score_fronts("d", {"a": [corners]})
+    assert caplog.records == []
 
 
 def test_hv_matches_monte_carlo():

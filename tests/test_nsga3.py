@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairsched.clustering import cluster_none, make_plan, order_interleave
 from fairsched.evaluation import Evaluator
@@ -25,7 +27,15 @@ from fairsched.nsga3 import (
     run,
     run_with_evaluator,
 )
-from oracles import _rng, dominance_filter_naive, niche_preserve_lists, offspring_slots
+from oracles import (
+    _rng,
+    associate_per_call,
+    dominance_filter_naive,
+    niche_preserve_lists,
+    normalize_per_objective,
+    offspring_slots,
+    select_survivors_lists,
+)
 
 
 def naive_sort_levels(points):
@@ -111,18 +121,29 @@ def test_normalize_singular_plane_raises_no_warning():
 
 
 class _ScriptedRng:
-    """Stand-in generator yielding a fixed script of draws; popping past the
-    end of a script means a draw the caller did not expect."""
+    """Stand-in generator yielding a fixed script of draws. A sized draw
+    takes that many values off its script as an array, so k scalar draws
+    and one `size=k` draw read the same script; popping past the end of a
+    script means a draw the caller did not expect."""
 
     def __init__(self, randoms=(), ints=()):
         self._randoms = list(randoms)
         self._ints = list(ints)
 
-    def random(self, *a, **k):
-        return self._randoms.pop(0)
+    @staticmethod
+    def _take(script, size):
+        if size is None:
+            return script.pop(0)
+        if size > len(script):
+            raise IndexError(f"a draw of {size} from a script of {len(script)}")
+        values, script[:size] = script[:size], []
+        return np.array(values)
 
-    def integers(self, *a, **k):
-        return self._ints.pop(0)
+    def random(self, size=None):
+        return self._take(self._randoms, size)
+
+    def integers(self, low, high=None, size=None):
+        return self._take(self._ints, size)
 
     def exhausted(self) -> bool:
         return not self._randoms and not self._ints
@@ -192,25 +213,40 @@ def test_mutate_hit_rate_statistics():
 
 def test_mutate_fills_hits_in_child_order():
     """Resampled values land on each child's hit genes in draw order: the
-    first child's hits, then the second's."""
+    first child's hits, then the second's, whether a child's values come
+    from scalar draws (few hits) or one sized draw (many)."""
     genes = np.zeros((2, 3), dtype=int)
     rng = _script(
         _pick(0, 1),
-        randoms=[0.9, np.array([0.0, 0.9, 0.0]), np.array([0.9, 0.0, 0.9])],
-        ints=[np.array([1, 2]), np.array([3])],
+        randoms=[0.9, 0.0, 0.9, 0.0, 0.9, 0.0, 0.9],
+        ints=[1, 2, 3],
     )
     children = _children(genes, [rng], crossover_rate=0.5, mutation_rate=0.5)
     assert rng.exhausted()
     assert children.tolist() == [[1, 0, 2], [0, 3, 0]]
+    genes = np.zeros((2, 5), dtype=int)
+    rng = _script(
+        _pick(0, 1),
+        randoms=[0.9, 0.0, 0.0, 0.0, 0.0, 0.0, 0.9, 0.0, 0.9, 0.9, 0.9],
+        ints=[1, 2, 3, 4, 1, 4],
+    )
+    children = _children(genes, [rng], crossover_rate=0.5, mutation_rate=0.5)
+    assert rng.exhausted()
+    assert children.tolist() == [[1, 2, 3, 4, 1], [0, 4, 0, 0, 0]]
 
 
 def test_offspring_matches_slot_loop():
     """The batched offspring step builds the per-slot loop's children byte
     for byte, drawing the same numbers from every slot generator (the
-    loop also draws for an odd population's dropped last child)."""
+    loop also draws for an odd population's dropped last child). At width
+    60 and rate 0.01 a child has a few hits, which draw one by one; at
+    width 1500 it has about 15, which draw in one sized call."""
     rng = np.random.default_rng(7)
     seed = 2**40 + 3
-    cases = itertools.product((2, 3, 7, 92), (1, 2, 60), (0.0, 0.01, 1.0), (0.0, 0.8, 1.0))
+    cases = itertools.chain(
+        itertools.product((2, 3, 7, 92), (1, 2, 60), (0.0, 0.01, 1.0), (0.0, 0.8, 1.0)),
+        itertools.product((2, 3, 7, 92), (1500,), (0.01,), (0.0, 0.8, 1.0)),
+    )
     for case, (size, width, mutation_rate, crossover_rate) in enumerate(cases):
         n_res = int(rng.integers(1, 6))
         genes = rng.integers(0, n_res, size=(size, width))
@@ -290,10 +326,11 @@ def test_scalar_pair_draws_match_size_two_draw():
 def test_scalar_draws_match_sized_mutation_draw():
     """k scalar `integers(0, n)` draws give the values and the final
     generator state of one `integers(0, n, size=k)` call, as mutation's
-    per-child draw makes it for k hits: so mutation could draw its values
-    one by one without changing a stream. Bound 1 draws nothing either
-    way; `random()` draws and an optional bounded draw ahead, as in the
-    pair test above, put PCG64's buffered 32-bit half in both states."""
+    per-child draw makes it for k hits: so mutation draws a few hits' values
+    one by one and many in one call, and either keeps the stream. Bound 1
+    draws nothing either way; `random()` draws and an optional bounded draw
+    ahead, as in the pair test above, put PCG64's buffered 32-bit half in
+    both states."""
     for seed in range(300):
         for n in (1, 2, 6, 2**31 + 5):
             for k in range(1, 6):
@@ -307,6 +344,27 @@ def test_scalar_draws_match_sized_mutation_draw():
                     assert got == sized.integers(0, n, size=k).tolist(), (seed, n, k, lead)
                     assert scalar.random() == sized.random()
                     assert scalar.bit_generator.state == sized.bit_generator.state, (seed, n, k, lead)
+
+
+def test_falling_bound_draw_matches_scalar_draws():
+    """One `integers(0, bounds)` call gives the values and final generator
+    state of a scalar draw per bound, in order, as niching's draws ahead
+    for count-0 picks rely on: bounds falling by one from 2-200, and random
+    bounds from 1 to beyond 2**31, after an optional lead draw."""
+    sizes = np.random.default_rng(99)
+    for seed in range(300):
+        top = int(sizes.integers(2, 201))
+        for bounds in (np.arange(top, 1, -1), sizes.integers(1, 2**31 + 6, size=int(sizes.integers(1, 12)))):
+            for lead in (0, 1):
+                ahead, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+                for rng in (ahead, scalar):
+                    rng.random()
+                    if lead:
+                        rng.integers(0, 7)
+                got = [scalar.integers(0, bound) for bound in bounds.tolist()]
+                assert got == ahead.integers(0, bounds).tolist(), (seed, lead)
+                assert scalar.random() == ahead.random()
+                assert scalar.bit_generator.state == ahead.bit_generator.state, (seed, lead)
 
 
 # four mutually nondominated points; corner guard admits the per-objective
@@ -440,6 +498,77 @@ def test_crowd_counts_niches_under_kept_rows_normalization():
             theirs = [at[int(row)] for row in keep]
             differs += crowd.tolist() != np.bincount(theirs, minlength=len(refs))[theirs].tolist()
     assert differs
+
+
+# a pool whose extreme points span no plane: `np.linalg.solve` finds it singular
+SINGULAR_POOL = np.array([[1, 2, 0], [0, 2, 2], [0, 0, 2], [1, 1, 0], [2, 1, 2], [2, 2, 0]], dtype=float)
+
+
+@st.composite
+def generation_pools(draw):
+    """(pool, k, refs): pools of population plus children at divisions 12,
+    60 rows cut to 30 and 184 cut to 92, and small pools cut to any k at
+    divisions 1-6. Rows are points of unequal scales on a simplex or in a
+    box, integer-grid ties, duplicates of a few points, rows of
+    `SINGULAR_POOL`, points on one line (a singular plane), or points with
+    one constant objective (a zero nadir span)."""
+    n, k, divisions = draw(st.sampled_from([(60, 30, 12), (184, 92, 12), None]), label="n, k, divisions") or (0, 0, 0)
+    if not n:
+        n = draw(st.integers(1, 20), label="n")
+        k, divisions = draw(st.integers(1, n), label="k"), draw(st.integers(1, 6), label="divisions")
+    kinds = ["simplex", "cube", "grid", "duplicates", "simplex", "cube", "singular", "line", "flat"]
+    kind = draw(st.sampled_from(kinds), label="kind")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if kind == "grid":
+        pool = rng.integers(0, int(rng.integers(2, 5)), size=(n, 3)).astype(float)
+    elif kind == "duplicates":
+        pts = rng.uniform(0, 1, size=(int(rng.integers(1, 4)), 3))
+        pool = pts[rng.integers(0, len(pts), size=n)]
+    elif kind == "simplex":
+        pool = rng.dirichlet(np.ones(3), size=n) * [100.0, 10.0, 1.0]
+    elif kind == "cube":
+        pool = rng.uniform(0, 1, size=(n, 3)) * [100.0, 10.0, 1.0]
+    elif kind == "singular":
+        pool = SINGULAR_POOL[rng.integers(0, len(SINGULAR_POOL), size=n)]
+    elif kind == "line":
+        pool = rng.uniform(0, 1, size=(n, 1)) * rng.uniform(0.5, 2.0, size=3)
+    else:
+        pool = rng.uniform(0, 1, size=(n, 3))
+        pool[:, int(rng.integers(0, 3))] = 0.5
+    return pool, k, reference_directions(divisions)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=generation_pools())
+@example(case=(SINGULAR_POOL, 3, reference_directions(4)))
+def test_stacked_normalize_and_associate_match_per_call_forms(case):
+    """The stacked ASF normalization and the association against cached unit
+    directions give the per-objective loop's and the per-call form's bytes."""
+    pool, _, refs = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = _normalize(pool)
+    expected = normalize_per_objective(pool)
+    assert norm.dtype == expected.dtype and norm.tobytes() == expected.tobytes()
+    for got, theirs in zip(_associate(norm, refs), associate_per_call(norm, refs)):
+        assert got.dtype == theirs.dtype and got.tobytes() == theirs.tobytes()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=generation_pools(), seed=st.integers(0, 2**64 - 1))
+@example(case=(SINGULAR_POOL, 3, reference_directions(4)), seed=0)
+def test_select_survivors_matches_list_truncation(case, seed):
+    """Survivor selection keeps the rows, ranks and crowding of the frozen
+    list-based truncation, and leaves its generator in the same state."""
+    pool, k, refs = case
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _select_survivors(pool, k, refs, ours)
+    expected = select_survivors_lists(pool, k, refs, theirs)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def _tiny_problem():
