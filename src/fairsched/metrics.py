@@ -188,11 +188,13 @@ def score_fronts(
                 clipped.append(f"{algorithm} rep {rep} ({beyond})")
             if hv_value == 0.0:
                 empty.append(f"{algorithm} rep {rep}")
-    if clipped or empty:
-        log.warning(
-            "hv on %s: %d run(s) have points beyond the reference %s, clipped: %s; %d run(s) score hv = 0: %s",
-            dataset, len(clipped), list(HV_REFERENCE), ", ".join(clipped) or "none", len(empty), ", ".join(empty) or "none",
-        )
+    parts = []
+    if clipped:
+        parts.append(f"{len(clipped)} run(s) have points beyond the reference {list(HV_REFERENCE)}, clipped: {', '.join(clipped)}")
+    if empty:
+        parts.append(f"{len(empty)} run(s) score hv = 0: {', '.join(empty)}")
+    if parts:
+        log.warning("hv on %s: %s", dataset, "; ".join(parts))
     return scores
 
 

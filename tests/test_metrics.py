@@ -154,8 +154,11 @@ def test_score_fronts_warns_once_naming_clipped_and_zero_runs(caplog):
     assert [s.hv == 0.0 for s in scores] == [False, False, True]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="fairsched.metrics"):
+        score_fronts("d", {"a": [np.vstack([corners, [[2.0, 2.0, 2.0]]])]})
         score_fronts("d", {"a": [corners]})
-    assert caplog.records == []
+    assert [r.getMessage() for r in caplog.records] == [
+        "hv on d: 1 run(s) have points beyond the reference [1.1, 1.1, 1.1], clipped: a rep 0 (1)"
+    ]
 
 
 def test_hv_matches_monte_carlo():

@@ -107,10 +107,15 @@ def test_stopped_sort_returns_leading_levels():
             assert sum(sizes) >= stop > sum(sizes[:-1])
 
 
+# a pool whose extreme points span a plane parallel to one axis: its solved
+# coefficients hold a zero, an infinite intercept that normalization refuses
+PARALLEL_PLANE_POOL = np.array([[1, 2, 0], [0, 2, 2], [0, 0, 2], [1, 1, 0], [2, 1, 2], [2, 2, 0]], dtype=float)
+
+
 def test_normalize_singular_plane_raises_no_warning():
     """A singular extreme-point plane falls back to the nadir without
     letting numpy's divide-by-zero warning escape."""
-    pool = np.array([[1, 2, 0], [0, 2, 2], [0, 0, 2], [1, 1, 0], [2, 1, 2], [2, 2, 0]], dtype=float)
+    pool = PARALLEL_PLANE_POOL
     refs = reference_directions(4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -500,23 +505,19 @@ def test_crowd_counts_niches_under_kept_rows_normalization():
     assert differs
 
 
-# a pool whose extreme points span no plane: `np.linalg.solve` finds it singular
-SINGULAR_POOL = np.array([[1, 2, 0], [0, 2, 2], [0, 0, 2], [1, 1, 0], [2, 1, 2], [2, 2, 0]], dtype=float)
-
-
 @st.composite
 def generation_pools(draw):
     """(pool, k, refs): pools of population plus children at divisions 12,
     60 rows cut to 30 and 184 cut to 92, and small pools cut to any k at
     divisions 1-6. Rows are points of unequal scales on a simplex or in a
     box, integer-grid ties, duplicates of a few points, rows of
-    `SINGULAR_POOL`, points on one line (a singular plane), or points with
-    one constant objective (a zero nadir span)."""
+    `PARALLEL_PLANE_POOL`, points on one line (a singular plane), or points
+    with one constant objective (a zero nadir span)."""
     n, k, divisions = draw(st.sampled_from([(60, 30, 12), (184, 92, 12), None]), label="n, k, divisions") or (0, 0, 0)
     if not n:
         n = draw(st.integers(1, 20), label="n")
         k, divisions = draw(st.integers(1, n), label="k"), draw(st.integers(1, 6), label="divisions")
-    kinds = ["simplex", "cube", "grid", "duplicates", "simplex", "cube", "singular", "line", "flat"]
+    kinds = ["simplex", "cube", "grid", "duplicates", "simplex", "cube", "parallel", "line", "flat"]
     kind = draw(st.sampled_from(kinds), label="kind")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     if kind == "grid":
@@ -528,8 +529,8 @@ def generation_pools(draw):
         pool = rng.dirichlet(np.ones(3), size=n) * [100.0, 10.0, 1.0]
     elif kind == "cube":
         pool = rng.uniform(0, 1, size=(n, 3)) * [100.0, 10.0, 1.0]
-    elif kind == "singular":
-        pool = SINGULAR_POOL[rng.integers(0, len(SINGULAR_POOL), size=n)]
+    elif kind == "parallel":
+        pool = PARALLEL_PLANE_POOL[rng.integers(0, len(PARALLEL_PLANE_POOL), size=n)]
     elif kind == "line":
         pool = rng.uniform(0, 1, size=(n, 1)) * rng.uniform(0.5, 2.0, size=3)
     else:
@@ -540,7 +541,7 @@ def generation_pools(draw):
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(case=generation_pools())
-@example(case=(SINGULAR_POOL, 3, reference_directions(4)))
+@example(case=(PARALLEL_PLANE_POOL, 3, reference_directions(4)))
 def test_stacked_normalize_and_associate_match_per_call_forms(case):
     """The stacked ASF normalization and the association against cached unit
     directions give the per-objective loop's and the per-call form's bytes."""
@@ -556,7 +557,7 @@ def test_stacked_normalize_and_associate_match_per_call_forms(case):
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(case=generation_pools(), seed=st.integers(0, 2**64 - 1))
-@example(case=(SINGULAR_POOL, 3, reference_directions(4)), seed=0)
+@example(case=(PARALLEL_PLANE_POOL, 3, reference_directions(4)), seed=0)
 def test_select_survivors_matches_list_truncation(case, seed):
     """Survivor selection keeps the rows, ranks and crowding of the frozen
     list-based truncation, and leaves its generator in the same state."""
