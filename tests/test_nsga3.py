@@ -539,9 +539,15 @@ def generation_pools(draw):
     return pool, k, reference_directions(divisions)
 
 
+# objective 0's extreme point turns on the 1e-6 off-axis ASF weight: row 0
+# scores 1.0 under it, row 1 scores 0.8; a weight of 1e-5 would pick row 0
+ASF_WEIGHT_POOL = np.array([[0.5, 1e-6, 0.0], [0.8, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(case=generation_pools())
 @example(case=(PARALLEL_PLANE_POOL, 3, reference_directions(4)))
+@example(case=(ASF_WEIGHT_POOL, 2, reference_directions(4)))
 def test_stacked_normalize_and_associate_match_per_call_forms(case):
     """The stacked ASF normalization and the association against cached unit
     directions give the per-objective loop's and the per-call form's bytes."""
