@@ -12,7 +12,11 @@ uniform jitter. The 16-row benchmark design crosses task counts
 {0.05, 0.30}.
 
 Generation is deterministic: the same spec (seed included) reproduces the
-same workflow set bit for bit.
+same workflow set bit for bit. Every draw comes from one `DrawStream` over
+`PCG64(seed)`, which computes from raw words the values that numpy's
+`default_rng(seed)` returns for the same calls (`tests/oracles.py` keeps
+those calls as `generate_numpy_calls`), so the sets are the ones numpy's
+own draws give.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .draws import DrawStream
 from .model import Edge, Task, Workflow, WorkflowSet
 
 WORKLOAD_RANGE = (10.0, 100.0)
@@ -66,21 +71,22 @@ def stable_seed(*parts) -> int:
 def generate(spec: GeneratorSpec) -> WorkflowSet:
     """Draw a workflow set from the layered model described in the module docstring."""
     spec.validate()
-    lo, hi = spec.task_count_range
-    rng = np.random.default_rng(spec.seed)
+    lo, hi = (int(bound) for bound in spec.task_count_range)
+    rng = DrawStream(np.random.PCG64(spec.seed))  # numpy's `default_rng(seed)` draws
+    integers, random = rng.integers, rng.random
     jitter_lo, jitter_span = 1 - DATA_SIZE_JITTER, (1 + DATA_SIZE_JITTER) - (1 - DATA_SIZE_JITTER)
     workflows = []
     for g in range(spec.n_workflows):
         wid = f"w{g:03d}"
-        n = int(rng.integers(lo, hi + 1))
+        n = integers(lo, hi + 1)
         width_cap = math.ceil(spec.parallelism_degree * n)
         widths: list[int] = []
         remaining = n
         while remaining > 0:
-            width = min(int(rng.integers(1, width_cap + 1)), remaining)
+            width = min(integers(1, width_cap + 1), remaining)
             widths.append(width)
             remaining -= width
-        workloads = rng.uniform(WORKLOAD_RANGE[0], WORKLOAD_RANGE[1], size=n)
+        workloads = rng.uniform(WORKLOAD_RANGE[0], WORKLOAD_RANGE[1], n)
         ids = [f"{wid}-t{i:03d}" for i in range(n)]
         tasks = [Task(tid, wid, wl) for tid, wl in zip(ids, workloads.tolist())]
         scale = spec.ccr * float(np.mean(workloads))
@@ -93,12 +99,11 @@ def generate(spec: GeneratorSpec) -> WorkflowSet:
         for li in range(1, len(layers)):
             prev = layers[li - 1]
             for ti in layers[li]:
-                k = min(int(rng.integers(1, MAX_PARENTS + 1)), len(prev))
+                k = min(integers(1, MAX_PARENTS + 1), len(prev))
                 # offsets into the contiguous layer: rng.choice(prev)'s draws and values
-                parents = sorted((prev[0] + rng.choice(len(prev), size=k, replace=False)).tolist())
-                for p in parents:
-                    # rng.uniform(lo, hi) draws lo + (hi - lo) * rng.random(), bit for bit
-                    edges.append(Edge(ids[p], ids[ti], scale * (jitter_lo + jitter_span * rng.random())))
+                for p in rng.sorted_choice(len(prev), k):
+                    # numpy's uniform(lo, hi) draws lo + (hi - lo) * random(), bit for bit
+                    edges.append(Edge(ids[prev[0] + p], ids[ti], scale * (jitter_lo + jitter_span * random())))
         workflows.append(Workflow(wid, tasks, edges))
     return WorkflowSet(workflows)
 

@@ -18,21 +18,19 @@ Selection state is passed as arrays, never stored on solutions: survivor
 selection returns the kept rows of the gene (P x n) and objective (P x 3)
 matrices with their nondomination rank and niche crowding, and the
 tournament draws row indices against those. A generation first makes
-every slot's draws (tournaments, crossover cut, mutation coins and
-resampled genes, in the order a per-child loop would draw them), then
-builds all its children at once in one gene matrix: a gather of first
-parents, the second parents' genes from each cut on, and the resampled
-genes written through one mutation mask. A child's resampled genes are
-drawn one by one when it has a few hits and in one sized call when it has
-many; both give the same values and generator state, and each is the
-cheaper for its hit count. It decodes the children in one
-`Evaluator.objectives` call. Truncation sorts with one n x n dominance
-matrix, stopping at the split level. It normalizes with the three ASFs
-stacked in one array and associates against unit directions computed once
-per set of reference directions. It niches over per-niche lists of open
-positions and count buckets of niches, both cut from a stable `argsort`
-at `bincount` offsets, and the niche draws of a run of count-0 picks are
-made in one call against their falling bounds.
+every slot's draws, in the order a per-child loop would draw them: two
+tournaments, the crossover coin and cut, then per child the mutation
+coins and a resampled gene per hit. It then builds all its children at
+once in one gene matrix: a gather of first parents, the second parents'
+genes from each cut on, and the resampled genes written through one
+mutation mask. It decodes the children in one `Evaluator.objectives`
+call. Truncation sorts with one n x n dominance matrix, stopping at the
+split level. It normalizes with the three ASFs stacked in one array and
+associates against unit directions computed once per set of reference
+directions. It niches over per-niche lists of open positions and count
+buckets of niches, both cut from a stable `argsort` at `bincount`
+offsets, drawing a niche when several tie on the lowest count and a
+member when the niche already holds one.
 
 Determinism: every random decision draws from a generator keyed by
 (seed, generation, slot), with the state of `SeedSequence(seed,
@@ -43,7 +41,12 @@ for a slot's offspring and (3, generation) for a generation's selection.
 numpy's own `SeedSequence(seed, spawn_key=key[:-1]).pool` holds the seed
 and all but the last key word; the last key word and the seeding words of
 all of a generation's slots are hashed at once, as uint32 arrays, and
-PCG64 seeds itself from those words.
+PCG64 seeds itself from those words. The initial population is one sized
+`Generator.integers` call on its PCG64. Every other draw is scalar and
+comes from a `DrawStream` (`draws.py`) over the slot's or the selection's
+PCG64: Python integer arithmetic on raw words that gives the values
+numpy's `Generator` calls give, while the stream and its generator live
+for that one slot or selection only.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .clustering import ClusterPlan, OrderedPlan
+from .draws import DrawStream
 from .evaluation import Baselines, Evaluator
 from .model import ResourceCatalog, WorkflowSet
 
@@ -218,15 +222,11 @@ def _associate(norm: np.ndarray, refs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return niche_of, dist[np.arange(len(dist)), niche_of]
 
 
-# Up to this many bounded draws are made one by one, more in one call: k
-# scalar `integers` draws give the values and generator state of one call
-# with `size=k` or with k bounds, and up to here cost less than that call.
-_FEW_DRAWS = 4
-
-
 def niche_preserve(objectives: np.ndarray, levels: list[np.ndarray], k: int, refs: np.ndarray, rng) -> list[int]:
     """Pick k survivors from the leveled pool, reference-direction niching
-    on the split level. Returns selected pool indices in deterministic order."""
+    on the split level. Returns selected pool indices in deterministic order.
+    `rng` makes scalar `integers(low, high)` draws: a `DrawStream` or a
+    numpy `Generator` on the same words draws the same."""
     objs = np.asarray(objectives, dtype=float)
     total = sum(len(lv) for lv in levels)
     if k > total:
@@ -269,21 +269,12 @@ def niche_preserve(objectives: np.ndarray, levels: list[np.ndarray], k: int, ref
     integers = rng.integers
     low = 0  # the minimum count over live niches never decreases
     tied = buckets.get(0, [])
-    ahead: list[int] = []  # niche draws made in advance, the next one last
     while len(chosen) < remaining:
         while not tied:
             low += 1
             tied = buckets.get(low, [])
-        if low == 0 and not ahead and min(remaining - len(chosen), len(tied) - 1) > _FEW_DRAWS:
-            # a pick at count 0 draws no member, so each of the next `visits`
-            # iterations pops this bucket with one draw below its length:
-            # one draw against those falling bounds makes all of theirs
-            visits = min(remaining - len(chosen), len(tied) - 1)
-            ahead = integers(0, np.arange(len(tied), len(tied) - visits, -1)).tolist()[::-1]
-        if ahead:
-            niche = tied.pop(ahead.pop())
-        else:
-            niche = tied.pop(integers(0, len(tied))) if len(tied) > 1 else tied.pop()
+        # one niche or one member draws nothing: a draw below 1 takes no random bits
+        niche = tied.pop(integers(0, len(tied))) if len(tied) > 1 else tied.pop()
         members = open_at[niche]
         if not members:
             continue  # a niche with no open members leaves for good
@@ -291,7 +282,6 @@ def niche_preserve(objectives: np.ndarray, levels: list[np.ndarray], k: int, ref
             pick = min(members, key=dist.__getitem__)  # first minimum
             members.remove(pick)
         else:
-            # one member draws nothing: a draw below 1 takes no random bits
             pick = members.pop(integers(0, len(members))) if len(members) > 1 else members.pop()
         chosen.append(pick)
         insort(buckets.setdefault(low + 1, []), niche)
@@ -315,22 +305,20 @@ def _select_survivors(objs: np.ndarray, k: int, refs: np.ndarray, rng) -> tuple[
 def _offspring(
     genes: np.ndarray, rank: np.ndarray, crowd: np.ndarray, rngs, cfg: OptimizerConfig, n_resources: int
 ) -> np.ndarray:
-    """One child per population row, a pair per slot generator in `rngs`.
+    """One child per population row, a pair per slot's `DrawStream` in `rngs`.
 
-    Each slot draws, in order: two binary tournaments, each two scalar row
-    indices and a coin when they tie on rank and crowding (the values and
-    generator state that one `integers(0, n, size=2)` call gives: the
-    32-bit bounded draws buffer in the bit generator, not in the call); a
-    crossover coin when there are two or more genes, and a cut point when
-    it hits; then for each child a coin per gene when mutation is on, and
-    the resampled genes when a coin hits, one scalar draw per hit up to
-    `_FEW_DRAWS` and one sized draw above (the same values and state). An
-    odd population's last slot builds one child, and draws nothing for the
-    second. A tournament keeps the row of lower rank, then of lower crowd
-    (nonnegative). A child takes its first parent's genes before the cut
-    and its second parent's from it (no crossover puts the cut at the end),
-    with the hit genes replaced; all children are built at once from those
-    draws.
+    Each slot draws, in order: two binary tournaments, each two row indices
+    and a coin when they tie on rank and crowding; a crossover coin when
+    there are two or more genes, and a cut point when it hits; then for each
+    child a coin per gene when mutation is on, and a resampled gene per hit.
+    These are the values numpy's `integers(0, n, size=2)`, `random()`,
+    `integers(1, n)`, `random(n) < rate` and `integers(0, n_resources,
+    size=hits)` calls give on the slot's words. An odd population's last
+    slot builds one child, and draws nothing for the second. A tournament
+    keeps the row of lower rank, then of lower crowd (nonnegative). A child
+    takes its first parent's genes before the cut and its second parent's
+    from it (no crossover puts the cut at the end), with the hit genes
+    replaced; all children are built at once from those draws.
     """
     size, n = genes.shape
     fitness = (rank * (int(crowd.max()) + 1) + crowd).tolist()  # rank, then crowd
@@ -348,19 +336,14 @@ def _offspring(
         pa = j if fitness[j] < fitness[i] or fitness[j] == fitness[i] and random() >= 0.5 else i
         i, j = integers(0, size), integers(0, size)
         pb = j if fitness[j] < fitness[i] or fitness[j] == fitness[i] and random() >= 0.5 else i
-        cut = int(integers(1, n)) if n >= 2 and random() < crossover_rate else n
+        cut = integers(1, n) if n >= 2 and random() < crossover_rate else n
         first += (pa, pb)
         second += (pb, pa)
         cut_at += (cut, cut)
         if mutating:
             for row in rows[c : c + 2]:
-                np.less(random(n), mutation_rate, out=row)
-                hits = np.count_nonzero(row)
-                if hits > _FEW_DRAWS:
-                    values += integers(0, n_resources, size=hits).tolist()
-                else:
-                    for _ in range(hits):
-                        values.append(integers(0, n_resources))
+                rng.coins(mutation_rate, row)
+                values += [integers(0, n_resources) for _ in range(np.count_nonzero(row))]
     children = genes[first[:size]]
     np.copyto(children, genes[second[:size]], where=np.arange(n) >= np.array(cut_at[:size])[:, None])
     if values:
@@ -413,9 +396,9 @@ class _PCG64Words(ISeedSequence):
         return self.words
 
 
-def _generators(seed: int, key: tuple[int, ...], last: np.ndarray) -> list[np.random.Generator]:
-    """The generators of `SeedSequence(seed, spawn_key=key + (w,))` for each
-    32-bit word w of `last`.
+def _generators(seed: int, key: tuple[int, ...], last: np.ndarray) -> list[DrawStream]:
+    """Draw streams over the PCG64 generators of `SeedSequence(seed,
+    spawn_key=key + (w,))`, one for each 32-bit word w of `last`.
 
     numpy mixes the seed and `key` into `SeedSequence(seed, spawn_key=key)`'s
     pool; the last word is then absorbed into every pool word, for all w at
@@ -433,7 +416,7 @@ def _generators(seed: int, key: tuple[int, ...], last: np.ndarray) -> list[np.ra
     state = _hashmix(np.concatenate((mixed, mixed), axis=1), _STATE_CHAIN)
     # numpy reads the uint32 words as little-endian pairs, whatever the host
     words = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-    return [np.random.Generator(np.random.PCG64(_PCG64Words(row))) for row in words]
+    return [DrawStream(np.random.PCG64(_PCG64Words(row))) for row in words]
 
 
 def run(
@@ -455,7 +438,7 @@ def run_with_evaluator(evaluator: Evaluator, cfg: OptimizerConfig) -> Front:
     refs = reference_directions(cfg.divisions)
 
     init, select = _generators(cfg.seed, (), np.arange(2))
-    genes = init.integers(0, n_res, size=(cfg.population, evaluator.n_clusters))
+    genes = np.random.Generator(init.bit_generator).integers(0, n_res, size=(cfg.population, evaluator.n_clusters))
     objs = evaluator.objectives(genes)
     keep, rank, crowd = _select_survivors(objs, cfg.population, refs, select)
     genes, objs = genes[keep], objs[keep]

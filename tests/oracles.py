@@ -14,7 +14,11 @@ bit for bit and draw for draw, `offspring_slots`, the
 optimizer's per-child tournament, crossover and mutation loop, which the
 batched offspring step must match bit for bit, `_rng`, the optimizer's
 slot generator built by numpy's own `SeedSequence`, which the optimizer's
-batched generators must match state for state, `ScalarWalk`, the
+batched generators must match state for state and whose numpy calls the
+optimizer's draw streams must match value for value,
+`generate_numpy_calls`, the dataset generator with every draw a numpy
+`Generator` call, which the stream-driven generator must match byte for
+byte, `ScalarWalk`, the
 decoder's per-genome walk over plain Python lists, which the
 population-vectorized decoder must match bit for bit, and the set-up
 loops: `upward_rank_loop`, `heft_alone_loop` and `cheapest_alone_loop`
@@ -22,8 +26,8 @@ loops: `upward_rank_loop`, `heft_alone_loop` and `cheapest_alone_loop`
 head scan), `interleave_scan` (the dispatch order's per-turn cluster
 scan), and the metrics' `pareto_filter_unique` (`np.unique` rows) and
 `hv_slab_loop` (a Python loop per x-slab), which the array-at-once filter
-and hypervolume must match bit for bit. `read_run_scores_csv` and
-`entry_set` are helpers that only the tests need.
+and hypervolume must match bit for bit. `assert_same_position`,
+`read_run_scores_csv` and `entry_set` are helpers that only the tests need.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from bisect import insort
 
 import numpy as np
 
+from fairsched.generator import DATA_SIZE_JITTER, MAX_PARENTS, WORKLOAD_RANGE, GeneratorSpec
 from fairsched.metrics import RunScore
 from fairsched.model import Edge, GraphError, Resource, ResourceCatalog, Task, Workflow, WorkflowSet
 from fairsched.nsga3 import N_OBJECTIVES, nondominated_sort
@@ -432,6 +437,16 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+def assert_same_position(stream, rng: np.random.Generator) -> None:
+    """The draw stream's next unused word is the generator's next raw word,
+    and both hold the same pending 32-bit half, if any."""
+    state = rng.bit_generator.state
+    assert state["has_uint32"] == (stream._half >= 0)
+    if stream._half >= 0:
+        assert state["uinteger"] == stream._half
+    assert stream._take(1).item(0) == rng.bit_generator.random_raw()
+
+
 def _tournament(rank, crowd, rng) -> int:
     i, j = (int(x) for x in rng.integers(0, len(rank), size=2))
     if rank[i] != rank[j]:
@@ -478,6 +493,49 @@ def offspring_slots(genes, rank, crowd, rngs, crossover_rate: float, mutation_ra
         for child in crossover(genes[pa], genes[pb], rng, crossover_rate):
             children.append(mutate(child, rng, mutation_rate, n_resources))
     return np.array(children[: len(genes)])
+
+
+# ---------------------------------------------------------------------------
+# dataset generator oracle
+
+
+def generate_numpy_calls(spec: GeneratorSpec) -> WorkflowSet:
+    """The layered-model generator with every draw a numpy `Generator` call:
+    `integers`, a sized `uniform`, `choice` and `random` on `default_rng(seed)`."""
+    spec.validate()
+    lo, hi = spec.task_count_range
+    rng = np.random.default_rng(spec.seed)
+    jitter_lo, jitter_span = 1 - DATA_SIZE_JITTER, (1 + DATA_SIZE_JITTER) - (1 - DATA_SIZE_JITTER)
+    workflows = []
+    for g in range(spec.n_workflows):
+        wid = f"w{g:03d}"
+        n = int(rng.integers(lo, hi + 1))
+        width_cap = math.ceil(spec.parallelism_degree * n)
+        widths: list[int] = []
+        remaining = n
+        while remaining > 0:
+            width = min(int(rng.integers(1, width_cap + 1)), remaining)
+            widths.append(width)
+            remaining -= width
+        workloads = rng.uniform(WORKLOAD_RANGE[0], WORKLOAD_RANGE[1], size=n)
+        ids = [f"{wid}-t{i:03d}" for i in range(n)]
+        tasks = [Task(tid, wid, wl) for tid, wl in zip(ids, workloads.tolist())]
+        scale = spec.ccr * float(np.mean(workloads))
+        layers: list[range] = []
+        cursor = 0
+        for width in widths:
+            layers.append(range(cursor, cursor + width))
+            cursor += width
+        edges: list[Edge] = []
+        for li in range(1, len(layers)):
+            prev = layers[li - 1]
+            for ti in layers[li]:
+                k = min(int(rng.integers(1, MAX_PARENTS + 1)), len(prev))
+                parents = sorted((prev[0] + rng.choice(len(prev), size=k, replace=False)).tolist())
+                for p in parents:
+                    edges.append(Edge(ids[p], ids[ti], scale * (jitter_lo + jitter_span * rng.random())))
+        workflows.append(Workflow(wid, tasks, edges))
+    return WorkflowSet(workflows)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairsched.generator import GeneratorSpec, generate, stable_seed, table2_specs
 from fairsched.io import save_native, workflow_set_to_dict
 from fairsched.model import validate
-from oracles import entry_set
+from oracles import entry_set, generate_numpy_calls
 
 
 def levels_of(w):
@@ -67,6 +69,30 @@ def test_generated_bytes_are_pinned(tmp_path, spec, sha256):
     path = tmp_path / "set.json"
     save_native(generate(spec), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+@st.composite
+def generator_specs(draw):
+    """Specs of 1-8 workflows, task ranges within 1-200, parallelism in
+    (0, 1], ccr from 0.1 to 1000 and seeds up to 2**63."""
+    lo = draw(st.integers(1, 200), label="lo")
+    hi = draw(st.integers(lo, 200), label="hi")
+    return GeneratorSpec(
+        n_workflows=draw(st.integers(1, 8), label="n_workflows"),
+        task_count_range=(lo, hi),
+        ccr=draw(st.floats(0.1, 1000.0), label="ccr"),
+        parallelism_degree=draw(st.floats(0.0, 1.0, exclude_min=True), label="parallelism"),
+        seed=draw(st.integers(0, 2**63), label="seed"),
+    )
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(spec=generator_specs())
+def test_generate_matches_numpy_calls(spec):
+    """The stream-driven generator gives, byte for byte, the set that the
+    same draws as numpy `Generator` calls give."""
+    ours = json.dumps(workflow_set_to_dict(generate(spec)), sort_keys=True)
+    assert ours == json.dumps(workflow_set_to_dict(generate_numpy_calls(spec)), sort_keys=True)
 
 
 def test_structure_counts_and_widths():

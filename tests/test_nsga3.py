@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairsched.clustering import cluster_none, make_plan, order_interleave
+from fairsched.draws import DrawStream
 from fairsched.evaluation import Evaluator
 from fairsched.model import Edge, ResourceCatalog, Resource, Task, Workflow, WorkflowSet
 from fairsched.nsga3 import (
@@ -29,6 +30,7 @@ from fairsched.nsga3 import (
 )
 from oracles import (
     _rng,
+    assert_same_position,
     associate_per_call,
     dominance_filter_naive,
     niche_preserve_lists,
@@ -126,32 +128,33 @@ def test_normalize_singular_plane_raises_no_warning():
 
 
 class _ScriptedRng:
-    """Stand-in generator yielding a fixed script of draws. A sized draw
-    takes that many values off its script as an array, so k scalar draws
-    and one `size=k` draw read the same script; popping past the end of a
+    """Stand-in draw stream yielding a fixed script of draws. `coins` takes
+    one random value off the script per coin; popping past the end of a
     script means a draw the caller did not expect."""
 
     def __init__(self, randoms=(), ints=()):
         self._randoms = list(randoms)
         self._ints = list(ints)
 
-    @staticmethod
-    def _take(script, size):
-        if size is None:
-            return script.pop(0)
-        if size > len(script):
-            raise IndexError(f"a draw of {size} from a script of {len(script)}")
-        values, script[:size] = script[:size], []
-        return np.array(values)
+    def random(self):
+        return self._randoms.pop(0)
 
-    def random(self, size=None):
-        return self._take(self._randoms, size)
+    def integers(self, low, high):
+        return self._ints.pop(0)
 
-    def integers(self, low, high=None, size=None):
-        return self._take(self._ints, size)
+    def coins(self, rate, out):
+        if len(out) > len(self._randoms):
+            raise IndexError(f"{len(out)} coins from a script of {len(self._randoms)}")
+        values, self._randoms[: len(out)] = self._randoms[: len(out)], []
+        return np.less(values, rate, out=out)
 
     def exhausted(self) -> bool:
         return not self._randoms and not self._ints
+
+
+def _stream(seed: int, *key: int) -> DrawStream:
+    """A draw stream over the generator words of `_rng(seed, *key)`."""
+    return DrawStream(_rng(seed, *key).bit_generator)
 
 
 def _children(genes, rngs, crossover_rate=0.0, mutation_rate=0.0, n_resources=5):
@@ -202,15 +205,15 @@ def test_mutate_rate_zero_and_single_resource():
     rng = _script(_pick(0, 1), randoms=[0.5])  # rate 0 draws no mutation coins
     assert (_children(genes, [rng]) == genes).all()
     assert rng.exhausted()
-    assert (_children(genes, [_rng(2, 0)], mutation_rate=1.0, n_resources=1) == 0).all()
-    out = _children(genes, [_rng(2, 1)], mutation_rate=1.0, n_resources=5)
+    assert (_children(genes, [_stream(2, 0)], mutation_rate=1.0, n_resources=1) == 0).all()
+    out = _children(genes, [_stream(2, 1)], mutation_rate=1.0, n_resources=5)
     assert genes.tolist() == [[0, 0, 0], [0, 0, 0]]  # input untouched
     assert out.shape == genes.shape
 
 
 def test_mutate_hit_rate_statistics():
     genes = np.zeros((2, 4000), dtype=int)
-    out = _children(genes, [_rng(3, 0)], mutation_rate=0.5, n_resources=1000)
+    out = _children(genes, [_stream(3, 0)], mutation_rate=0.5, n_resources=1000)
     # a resample leaves the gene unchanged 1/1000 of the time; ignore that
     changed = (out != genes).mean()
     assert 0.45 < changed < 0.55
@@ -218,8 +221,7 @@ def test_mutate_hit_rate_statistics():
 
 def test_mutate_fills_hits_in_child_order():
     """Resampled values land on each child's hit genes in draw order: the
-    first child's hits, then the second's, whether a child's values come
-    from scalar draws (few hits) or one sized draw (many)."""
+    first child's hits, then the second's, for a few hits and for many."""
     genes = np.zeros((2, 3), dtype=int)
     rng = _script(
         _pick(0, 1),
@@ -241,11 +243,12 @@ def test_mutate_fills_hits_in_child_order():
 
 
 def test_offspring_matches_slot_loop():
-    """The batched offspring step builds the per-slot loop's children byte
-    for byte, drawing the same numbers from every slot generator (the
-    loop also draws for an odd population's dropped last child). At width
-    60 and rate 0.01 a child has a few hits, which draw one by one; at
-    width 1500 it has about 15, which draw in one sized call."""
+    """The batched offspring step, on slot draw streams, builds the
+    per-slot loop's children byte for byte, and each stream uses the words
+    that the loop's numpy calls use on a generator with the same seed words
+    (the loop also draws for an odd population's dropped last child). At
+    width 60 and rate 0.01 a child has a few hits; at width 1500 it has
+    about 15, the loop's sized draws."""
     rng = np.random.default_rng(7)
     seed = 2**40 + 3
     cases = itertools.chain(
@@ -264,16 +267,16 @@ def test_offspring_matches_slot_loop():
         expected = offspring_slots(genes, rank, crowd, theirs, crossover_rate, mutation_rate, n_res)
         assert got.dtype == expected.dtype and got.shape == expected.shape == (size, width)
         assert got.tobytes() == expected.tobytes(), (size, width, mutation_rate, crossover_rate)
-        compared = ours[:-1] if size % 2 else ours
-        assert [g.bit_generator.state for g in compared] == [g.bit_generator.state for g in theirs[: len(compared)]]
+        for stream, rng in zip(ours[:-1] if size % 2 else ours, theirs):
+            assert_same_position(stream, rng)
 
 
-def _assert_spawned(got: np.random.Generator, seed: int, key: tuple[int, ...]) -> None:
-    """`got` has the state of `SeedSequence(seed, spawn_key=key)`'s generator
-    and draws what it draws."""
+def _assert_spawned(got: DrawStream, seed: int, key: tuple[int, ...]) -> None:
+    """`got` is a fresh stream over the state of `SeedSequence(seed,
+    spawn_key=key)`'s generator and draws what it draws."""
     expected = _rng(seed, *key)
     assert got.bit_generator.state == expected.bit_generator.state, (seed, key)
-    assert got.integers(0, 2**40, size=3).tolist() == expected.integers(0, 2**40, size=3).tolist(), (seed, key)
+    assert [got.integers(0, 2**40) for _ in range(3)] == expected.integers(0, 2**40, size=3).tolist(), (seed, key)
     assert got.random() == expected.random(), (seed, key)
 
 
@@ -281,7 +284,7 @@ SPAWN_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**96 + 5, 2**128 + 2**
 
 
 def test_rng_matches_spawned_seed_sequence():
-    """Every batched generator has the state of numpy's own
+    """Every batched stream's generator has the state of numpy's own
     `SeedSequence(seed, spawn_key=key)`, and draws what it draws: seeds of
     one to seven words, generations up to 2**32 - 1, every slot of 1, 2, 15,
     46 and 51 slots, and the keys 0, 1 and (3, gen). A numpy release that
@@ -310,8 +313,9 @@ def test_pcg64_words_serve_only_pcg64_seeding():
 
 def test_scalar_pair_draws_match_size_two_draw():
     """Two scalar `integers(0, n)` draws give the values and the final
-    generator state of one `integers(0, n, size=2)` call; `_tournament`
-    relies on it. `random()` draws before and after, and an optional
+    generator state of one `integers(0, n, size=2)` call: the oracle's
+    `_tournament` makes the sized call where the package's tournament
+    makes two scalar draws. `random()` draws before and after, and an optional
     bounded draw ahead, put PCG64's buffered 32-bit half in both states."""
     bounds = np.random.default_rng(2024)
     for seed in range(300):
@@ -331,8 +335,8 @@ def test_scalar_pair_draws_match_size_two_draw():
 def test_scalar_draws_match_sized_mutation_draw():
     """k scalar `integers(0, n)` draws give the values and the final
     generator state of one `integers(0, n, size=k)` call, as mutation's
-    per-child draw makes it for k hits: so mutation draws a few hits' values
-    one by one and many in one call, and either keeps the stream. Bound 1
+    per-child draw makes it for k hits: the oracle's `mutate` makes the
+    sized call where the package makes one scalar draw per hit. Bound 1
     draws nothing either way; `random()` draws and an optional bounded draw
     ahead, as in the pair test above, put PCG64's buffered 32-bit half in
     both states."""
@@ -353,9 +357,10 @@ def test_scalar_draws_match_sized_mutation_draw():
 
 def test_falling_bound_draw_matches_scalar_draws():
     """One `integers(0, bounds)` call gives the values and final generator
-    state of a scalar draw per bound, in order, as niching's draws ahead
-    for count-0 picks rely on: bounds falling by one from 2-200, and random
-    bounds from 1 to beyond 2**31, after an optional lead draw."""
+    state of a scalar draw per bound, in order, so a bounded draw's words
+    do not depend on the call form: bounds falling by one from 2-200, as a
+    run of niche picks at count 0 draws them, and random bounds from 1 to
+    beyond 2**31, after an optional lead draw."""
     sizes = np.random.default_rng(99)
     for seed in range(300):
         top = int(sizes.integers(2, 201))
@@ -456,16 +461,17 @@ def _niching_cases(rng):
 
 
 def test_niche_preserve_matches_list_reference():
-    """Same picks and the same draws as the list-based oracle."""
+    """Same picks, and on a draw stream the words of the list-based
+    oracle's numpy draws on a generator with the same seed."""
     rng = np.random.default_rng(2024)
     level_counts = set()
     for pool, refs, k in _niching_cases(rng):
         levels = nondominated_sort(pool)
         level_counts.add(len(levels))
-        ours, theirs = np.random.default_rng(k), np.random.default_rng(k)
+        ours, theirs = DrawStream(np.random.PCG64(k)), np.random.default_rng(k)
         expected = niche_preserve_lists(pool, levels, k, refs, theirs)
         assert niche_preserve(pool, levels, k, refs, ours) == expected
-        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert_same_position(ours, theirs)
     assert {1, 2, 3, 4, 5} <= level_counts
 
 
@@ -566,16 +572,17 @@ def test_stacked_normalize_and_associate_match_per_call_forms(case):
 @example(case=(PARALLEL_PLANE_POOL, 3, reference_directions(4)), seed=0)
 def test_select_survivors_matches_list_truncation(case, seed):
     """Survivor selection keeps the rows, ranks and crowding of the frozen
-    list-based truncation, and leaves its generator in the same state."""
+    list-based truncation, and its draw stream uses the words that the
+    truncation's numpy draws use on a generator with the same seed."""
     pool, k, refs = case
-    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    ours, theirs = DrawStream(np.random.PCG64(seed)), np.random.default_rng(seed)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _select_survivors(pool, k, refs, ours)
     expected = select_survivors_lists(pool, k, refs, theirs)
     for a, b in zip(got, expected):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert_same_position(ours, theirs)
 
 
 def _tiny_problem():
