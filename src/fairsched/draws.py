@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-_BLOCK = 64  # words fetched per `random_raw` call, at least
+_BLOCK = 256  # words per `random_raw` call, at least: an offspring slot of up to ~120 genes
 _HALF = 2**32
 _WORD = 2**64
 _UNIT = 1.0 / 2**53  # numpy's `next_double` scale

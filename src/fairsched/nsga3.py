@@ -343,7 +343,8 @@ def _offspring(
         if mutating:
             for row in rows[c : c + 2]:
                 rng.coins(mutation_rate, row)
-                values += [integers(0, n_resources) for _ in range(np.count_nonzero(row))]
+                for _ in range(np.count_nonzero(row)):
+                    values.append(integers(0, n_resources))
     children = genes[first[:size]]
     np.copyto(children, genes[second[:size]], where=np.arange(n) >= np.array(cut_at[:size])[:, None])
     if values:
