@@ -235,8 +235,9 @@ class Evaluator:
     in the same block, adds its exec time and scatters the finish back.
     Cost does not depend on times, so each workflow's cost is summed after
     the walk, task by task in dispatch order. The tables the gathers read
-    (flat exec time and cost per position and resource, the edges ordered
-    by block, the resource-pair bandwidth table) are built once here.
+    are built once here: flat exec time and cost per position and
+    resource, the resource-pair bandwidth table, and the edges in one
+    stable sort by block, carried edges first, cut into per-task runs.
     Every float is produced by the same operation, in the same order, as
     in a per-genome walk with a scalar tail, or by a max, which is exact in
     any order, so results depend neither on how a population is batched nor
@@ -258,22 +259,21 @@ class Evaluator:
         self.ws = ws
         self.catalog = catalog
         self.plan = plan
-        self.baselines = baselines if baselines is not None else compute_baselines(ws, catalog)
+        if baselines is None:
+            baselines = compute_baselines(ws, catalog)
 
         self._task_ids = list(order.order)
         index = {tid: i for i, tid in enumerate(self._task_ids)}
         n = len(self._task_ids)
 
-        # Per task, by dispatch position: its workload, cluster and its run of
-        # incoming edges in the edge lists (first edge, count); per workflow,
-        # its positions; per edge, in workflow order: source position and
-        # data size.
+        # Per task, by dispatch position: its workload and cluster; per
+        # workflow, its positions; per edge, in workflow order: source
+        # position, destination position and data size.
         wl = [0.0] * n
         wf_rows = []
         cluster_of = [0] * n
-        first_in = [0] * n
-        n_in = [0] * n
         src: list[int] = []
+        dst: list[int] = []
         size: list[float] = []
         to_cluster = plan.task_to_cluster
         if not index.keys() <= to_cluster.keys():
@@ -287,23 +287,14 @@ class Evaluator:
                 rows.append(i)
                 wl[i] = t.workload
                 cluster_of[i] = to_cluster[tid]
-                preds = predecessors(tid)
-                first_in[i] = len(src)
-                n_in[i] = len(preds)
-                for p in preds:
+                for p in predecessors(tid):
                     pi = index[p]
                     if pi >= i:
                         raise ValueError(f"order is not topological: {p!r} comes after {tid!r}")
                     src.append(pi)
+                    dst.append(i)
                     size.append(edge(p, tid).data_size)
-            wf_rows.append(sorted(rows))
-        # the edges grouped by destination in dispatch order, task i's at
-        # edge_start[i]:edge_start[i + 1]: each task's run moves from its
-        # first edge in the lists to after the runs of the tasks before it
-        n_in = np.array(n_in, dtype=np.intp)
-        edge_start = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(n_in, out=edge_start[1:])
-        by_dst = np.arange(len(src)) + np.repeat(np.array(first_in, dtype=np.intp) - edge_start[:-1], n_in)
+            wf_rows.append(np.array(sorted(rows), dtype=np.intp))
 
         n_res = len(catalog)
         cu = np.array([r.cpu_capacity for r in catalog], dtype=float)
@@ -322,82 +313,62 @@ class Evaluator:
         self._cluster_of = np.array(cluster_of, dtype=np.intp)
         # per workflow, in dispatch order: its positions, their clusters and
         # their offsets into the flat tables
-        rows = np.array([i for r in wf_rows for i in r], dtype=np.intp)
-        clusters, offsets = self._cluster_of[rows], self._offset[rows]
-        self._workflows = []
-        a = 0
-        for r in wf_rows:
-            b = a + len(r)
-            self._workflows.append((rows[a:b], clusters[a:b], offsets[a:b]))
-            a = b
-        self._plan_blocks(np.array(src, dtype=np.intp)[by_dst], n_in, edge_start, np.array(size, dtype=float)[by_dst])
-        self._heft = np.array([[self.baselines.heft_makespan[w.id]] for w in ws.workflows])
-        self._cheapest = np.array([[self.baselines.cheapest_cost[w.id]] for w in ws.workflows])
+        self._workflows = [(rows, self._cluster_of[rows], self._offset[rows]) for rows in wf_rows]
+        self._plan_blocks(np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp), np.array(size, dtype=float))
+        self._heft = np.array([[baselines.heft_makespan[w.id]] for w in ws.workflows])
+        self._cheapest = np.array([[baselines.cheapest_cost[w.id]] for w in ws.workflows])
 
-    def _plan_blocks(self, src: np.ndarray, n_in: np.ndarray, edge_start: np.ndarray, size: np.ndarray) -> None:
+    def _plan_blocks(self, src: np.ndarray, dst: np.ndarray, size: np.ndarray) -> None:
         """Split the walk into blocks of `_BLOCK` dispatch positions and
-        order the edges, which come grouped by destination, for it.
+        order the edges, which come in workflow order, for it.
 
         An edge is carried into its destination's block when its source lies
-        in an earlier block. Within each block's slice of the edges, the
-        carried edges move to the front, each kind still grouped by
-        destination, so each task's edges of one kind are a run. Per block
-        this keeps (first position, end position, first edge, end of the
-        carried edges, end edge, the block rows with carried edges, their
-        runs padded to the block's longest); per task, its in-block
-        predecessor(s) and their edges as a slice of the block's edges, or
-        None.
+        in an earlier block. One stable sort orders the edges by destination
+        block, carried edges first, then by destination; each task's edges
+        keep their predecessor order. The sorted edges then fall into runs of
+        one destination and one kind of edge. Per block this keeps (first
+        position, end position, first edge, end of the carried edges, end
+        edge, the block rows with carried edges, their runs padded to the
+        block's longest); per task, its in-block predecessor(s) and their
+        edges as a slice of the block's edges, or None.
         """
         block = _BLOCK
-        n = len(n_in)
+        n = len(self._cluster_of)
         firsts = range(0, n, block)
-        dst = np.repeat(np.arange(n), n_in)
-        carried = src < dst - dst % block
-        before = np.zeros(len(src) + 1, dtype=np.intp)  # [edge]: carried edges before it
-        np.cumsum(carried, out=before[1:])
-        bounds = edge_start[[*firsts, n]]  # each block's first edge, and the end
-        at, before_at = bounds[:-1], before[bounds[:-1]]
-        in_block_before = at - before_at  # per block, in-block edges before it
-        carried_through = before[bounds[1:]]  # per block, carried edges up to its end
-        carried_end = at + carried_through - before_at
         blk = dst // block
-        place = np.where(
-            carried, before[:-1] + in_block_before[blk], np.arange(len(src)) - before[:-1] + carried_through[blk]
-        )
-        order = np.empty_like(place)
-        order[place] = np.arange(len(src))
-        self._edge_src = src[order]
-        self._edge_src_cl = self._cluster_of[self._edge_src]
-        self._edge_dst_cl = self._cluster_of[dst[order]]
+        carried = src < blk * block
+        order = np.lexsort((dst, ~carried, blk))
+        src, dst, blk, carried = src[order], dst[order], blk[order], carried[order]
+        self._edge_src = src
+        self._edge_src_cl = self._cluster_of[src]
+        self._edge_dst_cl = self._cluster_of[dst]
         self._edge_size = size[order][:, None]
-        # per task: its carried edge count, and where its runs of carried and
-        # of in-block edges start in its block's slice
-        own = before[edge_start]
-        n_carried = own[1:] - own[:-1]
-        task_blk = np.arange(n) // block
-        carried_at = own[:-1] - before_at[task_blk]
-        inner_at = (edge_start[:-1] - own[:-1]) - in_block_before[task_blk] + (carried_end - at)[task_blk]
+        bounds = np.searchsorted(blk, range(len(firsts) + 1))  # each block's first edge, and the end
+        carried_end = bounds[:-1] + np.bincount(blk[carried], minlength=len(firsts))
+        # the runs: each starts where the destination or the kind (packed
+        # as 2 * dst + carried) changes, at an edge index and at an offset
+        # into its block's edges
+        start = np.flatnonzero(np.diff(2 * dst + carried, prepend=-1))
+        end = np.append(start[1:], len(src))
+        at = start - bounds[blk[start]]
+        carried_run = carried[start]
         # carried runs, padded to the block's longest by repeating their last
         # edge (max is idempotent), as block rows and edge indices
-        task = np.flatnonzero(n_carried)
-        length = n_carried[task]
-        pad = np.minimum(np.arange(length.max(initial=1)), length[:, None] - 1) + carried_at[task][:, None]
-        cut = [*np.searchsorted(task, firsts).tolist(), len(task)]
-        lengths, rows = length.tolist(), task % block
+        task, length = dst[start[carried_run]], (end - start)[carried_run]
+        pad = np.minimum(np.arange(length.max(initial=1)), length[:, None] - 1) + at[carried_run][:, None]
+        cut = np.searchsorted(task, [*firsts, n]).tolist()  # each block's first carried run, and the end
+        lengths, rows, edges = length.tolist(), task % block, bounds.tolist()
         self._blocks = []
-        for j, (a, e0, ec, e1) in enumerate(zip(firsts, at.tolist(), carried_end.tolist(), bounds[1:].tolist())):
-            c0, c1 = cut[j], cut[j + 1]
+        for a, e0, ec, e1, c0, c1 in zip(firsts, edges, carried_end.tolist(), edges[1:], cut, cut[1:]):
             width = max(lengths[c0:c1], default=1)
             self._blocks.append((a, min(a + block, n), e0, ec, e1, rows[c0:c1], pad[c0:c1, :width]))
         # in-block runs: per task, its predecessor position(s) and its edges
         # as a slice of its block's edges; one predecessor is a plain position
         steps: list = [None] * n
-        n_inner = n_in - n_carried
-        inner = np.flatnonzero(n_inner)
-        edge_src, first = self._edge_src.tolist(), at.tolist()
-        for i, count, i0 in zip(inner.tolist(), n_inner[inner].tolist(), inner_at[inner].tolist()):
-            e0 = first[i // block] + i0
-            steps[i] = (edge_src[e0] if count == 1 else self._edge_src[e0 : e0 + count], i0, i0 + count)
+        inner = ~carried_run
+        edge_src, first = src.tolist(), start[inner]
+        for i, e0, e1, i0 in zip(dst[first].tolist(), first.tolist(), end[inner].tolist(), at[inner].tolist()):
+            steps[i] = (edge_src[e0] if e1 - e0 == 1 else src[e0:e1], i0, i0 + e1 - e0)
         self._steps = steps
 
     @property
@@ -578,8 +549,8 @@ def validate_schedule(
                 out.append(f"task {t.id!r}: finish - start != exec time")
             for pid in w.predecessors(t.id):
                 pp = schedule.placements.get(pid)
-                if pp is None:
-                    continue
+                if pp is None or pp.resource_id not in by_res:
+                    continue  # reported in the predecessor's own check
                 arrival = pp.finish + comm_time(w.edge(pid, t.id).data_size, by_res[pp.resource_id], r)
                 if p.start < arrival - tol * scale:
                     out.append(f"task {t.id!r} starts before data from {pid!r} arrives")

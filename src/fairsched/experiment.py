@@ -574,6 +574,8 @@ def score_stored_runs(runs_dir, out_dir, normalize_igd: bool | None = None) -> P
             fronts = []
             for record_path in sorted(cl_dir.glob("rep*.json")):
                 record = load_record(record_path)
+                if not record.front:
+                    raise wio.FormatError(f"{record_path}: the front is empty, so it has no metrics")
                 fronts.append(record.front.objectives_array())
             if fronts:
                 fronts_by_algorithm[cl_dir.name] = fronts

@@ -400,6 +400,21 @@ def test_eval_names_record_with_invalid_json(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_eval_names_record_with_empty_front(tmp_path, capsys):
+    """A record may store an empty front (replay reaches its dataset check),
+    but eval has no metrics for it: exit 2, naming the record."""
+    out_dir = tmp_path / "results"
+    main(["run", "--config", str(write_config(tmp_path / "config.json", out_dir, repetitions=2)), "--quiet"])
+    bad = out_dir / "runs" / "t" / "none" / "rep01.json"
+    doc = json.loads(bad.read_text())
+    doc["front"] = {"objectives": [], "genes": []}
+    bad.write_text(json.dumps(doc))
+    assert main(["eval", "--runs", str(out_dir / "runs"), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: the front is empty" in err
+    assert "Traceback" not in err
+
+
 def test_eval_refuses_config_beside_runs(tmp_path, capsys):
     """The config.json beside runs/ must load and validate, as for `run`;
     the error names the file."""

@@ -6,6 +6,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairsched import evaluation
 from fairsched.clustering import (
@@ -599,6 +601,36 @@ def test_batched_decode_matches_scalar_walk_in_every_walk_case(monkeypatch):
             _assert_matches_scalar_walk(ev, ref, cat, genes, 2)
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_batched_decode_matches_scalar_walk_on_random_orders(data):
+    """Random topological orders that interleave the workflows task by task,
+    unlike order_interleave's turns or one workflow after another: every
+    block size reproduces the scalar walk on matrices, single vectors and
+    decoded schedules."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    ws = random_workflow_set(rng, data.draw(st.integers(1, 5), label="workflows"), n_lo=1, n_hi=9)
+    cat = random_catalog(rng, data.draw(st.integers(1, 5), label="resources"))
+    plan = make_plan(ws, cat, data.draw(st.sampled_from(sorted(CLUSTERERS)), label="clusterer"))
+    waiting = {t.id: len(w.predecessors(t.id)) for w in ws.workflows for t in w.tasks}
+    successors = {t.id: w.successors(t.id) for w in ws.workflows for t in w.tasks}
+    ready, order = [tid for tid, k in waiting.items() if k == 0], []
+    while ready:
+        tid = ready.pop(data.draw(st.integers(0, len(ready) - 1)))
+        order.append(tid)
+        for s in successors[tid]:
+            waiting[s] -= 1
+            if waiting[s] == 0:
+                ready.append(s)
+    order = OrderedPlan(tuple(order))
+    baselines = compute_baselines(ws, cat)
+    ref = ScalarWalk(ws, cat, plan, order, baselines)
+    genes = rng.integers(0, len(cat), size=(5, plan.n_clusters))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for ev in _evaluators(monkeypatch, ws, cat, plan, order, baselines).values():
+            _assert_matches_scalar_walk(ev, ref, cat, genes, 2)
+
+
 def test_workflow_cost_sums_in_dispatch_order(unit_catalog, monkeypatch):
     """A workflow's cost adds its tasks' costs one at a time in dispatch
     order. These costs round differently when summed pairwise (`np.sum`)
@@ -642,6 +674,22 @@ def test_validate_schedule_catches_corruption(two_chain_set, pair_catalog):
     assert any("starts before data" in p for p in problems)
     lying = replace(sched, makespan=1.0)
     assert any("makespan" in p for p in validate_schedule(lying, two_chain_set, pair_catalog, plan))
+
+
+def test_validate_schedule_reports_predecessor_on_unknown_resource(pair_catalog):
+    """A predecessor placed on a resource the catalog lacks is reported by
+    its own check; its successor's arrival check skips it instead of
+    raising."""
+    from dataclasses import replace
+
+    w = Workflow("w", [Task("a", "w", 1.0), Task("b", "w", 1.0)], [Edge("a", "b", 5.0)])
+    ws = WorkflowSet([w])
+    plan = cluster_none(ws)
+    sched = decode(ws, pair_catalog, plan, order_interleave(plan, ws), [0, 1])
+    broken = replace(sched, placements={**sched.placements, "a": replace(sched.placements["a"], resource_id="nope")})
+    problems = validate_schedule(broken, ws, pair_catalog, plan)
+    assert problems[0] == "task 'a' placed on unknown resource 'nope'"
+    assert not any("arrives" in p for p in problems)
 
 
 def test_schedule_serialization(two_chain_set, pair_catalog, tmp_path):
