@@ -32,7 +32,7 @@ for ind in front:
 # The corners tell the story: the cheapest plan is slow, the fastest
 # plan is expensive, and fairness pulls against both. Picking one point
 # off this front is a policy decision, not an optimization problem.
-objs = front.objectives_array()
+objs = front.objectives
 for label, column in (("fastest", 0), ("cheapest", 1), ("fairest", 2)):
     best = objs[objs[:, column].argmin()]
     print(f"\n{label:9} makespan={best[0]:.2f} cost={best[1]:.2f} unfairness={best[2]:.4f}")

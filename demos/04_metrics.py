@@ -25,7 +25,7 @@ for method in ("dfs-cst", "p2p", "mdnc"):
     plan = make_plan(ws, catalog, method)
     order = order_interleave(plan, ws)
     fronts[method] = [
-        run(ws, catalog, plan, order, OptimizerConfig(population=24, generations=40, seed=s)).objectives_array()
+        run(ws, catalog, plan, order, OptimizerConfig(population=24, generations=40, seed=s)).objectives
         for s in (0, 1)
     ]
 

@@ -107,8 +107,8 @@ def _cmd_replay(args) -> int:
     if args.out:
         front.to_csv(args.out)
     if not args.quiet:
-        for ind in front:
-            print("  ".join(repr(float(v)) for v in ind.objectives))
+        for row in front.objectives.tolist():
+            print("  ".join(map(repr, row)))
     if matches:
         print("replay: front matches the stored record")
         return 0

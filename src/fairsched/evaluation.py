@@ -207,14 +207,34 @@ def compute_baselines(ws: WorkflowSet, catalog: ResourceCatalog) -> Baselines:
     for w in ws.workflows:
         h = heft_alone(w, catalog)
         c = cheapest_alone(w, catalog)
-        if not h > 0 or not c > 0:
+        if not (0 < h < math.inf and 0 < c < math.inf):
             raise ValueError(
-                f"workflow {w.id!r} has a zero alone-run baseline (empty or zero-workload workflow); "
-                "fairness is undefined"
+                f"workflow {w.id!r} has alone-run baselines makespan {h!r} and cost {c!r}; fairness needs both "
+                "positive and finite (an empty or zero-workload workflow has zero baselines)"
             )
         heft[w.id] = h
         cheapest[w.id] = c
     return Baselines(heft, cheapest)
+
+
+def _check_worst_case(workloads, data_sizes, catalog: ResourceCatalog, heft, cheapest) -> None:
+    """Raise ValueError unless every time, cost and loss a decode can give
+    is finite, and so are the sums scoring takes of them. For any plan and
+    assignment, a FIFO walk ends by the sum of every task's slowest run and
+    every edge's slowest transfer and costs at most every task's dearest
+    run. Unfairness sums n losses and their squared deviations, raw IGD 3
+    squared objective differences. Python floats overflow to inf without a
+    warning; the factor 2 covers rounding."""
+    transfers = sum(data_sizes) / min(r.bandwidth for r in catalog) if len(catalog) > 1 else 0.0
+    span = sum(workloads) / min(r.cpu_capacity for r in catalog) + transfers
+    spend = sum(workloads) * max(r.cost_per_interval / r.billing_interval / r.cpu_capacity for r in catalog)
+    low = min(heft), min(cheapest)
+    loss = span / low[0] + spend / low[1] if min(low) > 0 else math.inf
+    if not all(2 * max(len(heft), 3) * v * max(v, 1.0) < math.inf for v in (span, spend, loss)):
+        raise ValueError(
+            f"the set's times, costs or losses overflow the float range: a makespan up to {span!r}, "
+            f"a cost up to {spend!r}, a loss up to {loss!r}"
+        )
 
 
 class Evaluator:
@@ -296,6 +316,10 @@ class Evaluator:
                     size.append(edge(p, tid).data_size)
             wf_rows.append(np.array(sorted(rows), dtype=np.intp))
 
+        heft = [baselines.heft_makespan[w.id] for w in ws.workflows]
+        cheapest = [baselines.cheapest_cost[w.id] for w in ws.workflows]
+        _check_worst_case(wl, size, catalog, heft, cheapest)
+
         n_res = len(catalog)
         cu = np.array([r.cpu_capacity for r in catalog], dtype=float)
         bw = np.array([r.bandwidth for r in catalog], dtype=float)
@@ -315,8 +339,8 @@ class Evaluator:
         # their offsets into the flat tables
         self._workflows = [(rows, self._cluster_of[rows], self._offset[rows]) for rows in wf_rows]
         self._plan_blocks(np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp), np.array(size, dtype=float))
-        self._heft = np.array([[baselines.heft_makespan[w.id]] for w in ws.workflows])
-        self._cheapest = np.array([[baselines.cheapest_cost[w.id]] for w in ws.workflows])
+        self._heft = np.array(heft)[:, None]
+        self._cheapest = np.array(cheapest)[:, None]
 
     def _plan_blocks(self, src: np.ndarray, dst: np.ndarray, size: np.ndarray) -> None:
         """Split the walk into blocks of `_BLOCK` dispatch positions and

@@ -38,7 +38,7 @@ from .evaluation import Evaluator, compute_baselines
 from .generator import GeneratorSpec, generate, stable_seed, table2_specs
 from .metrics import aggregate_scores, score_fronts, write_aggregate_csv, write_rdi_csv, write_run_scores_csv
 from .model import ResourceCatalog, WorkflowSet, ensure_valid
-from .nsga3 import Front, Individual, OptimizerConfig, run_with_evaluator
+from .nsga3 import Front, OptimizerConfig, run_with_evaluator
 
 log = logging.getLogger(__name__)
 
@@ -272,7 +272,6 @@ class RunRecord:
     dataset: DatasetSpec
     clusterer: str
     repetition: int
-    seed: int
     optimizer: OptimizerConfig
     catalog: ResourceCatalog
     front: Front
@@ -282,13 +281,10 @@ class RunRecord:
             "dataset": self.dataset.to_dict(),
             "clusterer": self.clusterer,
             "repetition": self.repetition,
-            "seed": self.seed,
+            "seed": self.optimizer.seed,
             "optimizer": asdict(self.optimizer),
             "resources": wio.resources_to_dict(self.catalog),
-            "front": {
-                "objectives": [ind.objectives.tolist() for ind in self.front],
-                "genes": [ind.assignment.tolist() for ind in self.front],
-            },
+            "front": {"objectives": self.front.objectives.tolist(), "genes": self.front.genes.tolist()},
         }
 
     def save(self, path) -> None:
@@ -318,14 +314,14 @@ def _front_from_dict(doc, where: str, n_resources: int) -> Front:
     if not doc["genes"]:
         return Front()
     objectives = _front_rows(doc["objectives"], "iuf")
-    if objectives is None or objectives.shape[1] != 3:
-        raise wio.FormatError(f"{where}: front objectives must be rows of 3 numbers")
+    if objectives is None or objectives.shape[1] != 3 or not np.isfinite(objectives).all():
+        raise wio.FormatError(f"{where}: front objectives must be rows of 3 numbers, all finite")
     genes = _front_rows(doc["genes"], "iu")
     if genes is None:
         raise wio.FormatError(f"{where}: front genes must be rows of integers of one length")
     if genes.min() < 0 or genes.max() >= n_resources:
         raise wio.FormatError(f"{where}: front genes must be resource indices in 0..{n_resources - 1}")
-    return Front(tuple(Individual(g, o) for g, o in zip(genes, objectives.astype(float))))
+    return Front(genes, objectives.astype(float))
 
 
 _RECORD_FIELDS = ("dataset", "clusterer", "repetition", "seed", "optimizer", "resources", "front")
@@ -363,7 +359,7 @@ def load_record(path) -> RunRecord:
         raise wio.FormatError(f"{path}: seed {seed} differs from optimizer.seed {optimizer.seed}")
     catalog = wio.resources_from_dict(doc["resources"], where=str(path))
     front = _front_from_dict(doc["front"], str(path), len(catalog))
-    return RunRecord(dataset, doc["clusterer"], repetition, seed, optimizer, catalog, front)
+    return RunRecord(dataset, doc["clusterer"], repetition, optimizer, catalog, front)
 
 
 def _native_path(spec: DatasetSpec, base_dir: Path | None = None) -> Path:
@@ -452,15 +448,13 @@ def _run_dataset(cfg: ExperimentConfig, catalog: ResourceCatalog, out: Path, ds:
         run_dir.mkdir(parents=True, exist_ok=True)
         fronts: list[np.ndarray] = []
         for rep in range(cfg.repetitions):
-            seed = stable_seed(cfg.seed, ds.name, clusterer, rep)
-            opt = replace(cfg.optimizer, seed=seed)
+            opt = replace(cfg.optimizer, seed=stable_seed(cfg.seed, ds.name, clusterer, rep))
             started = time.perf_counter()
             front = run_with_evaluator(evaluator, opt)
             elapsed = time.perf_counter() - started
-            record = RunRecord(ds, clusterer, rep, seed, opt, catalog, front)
-            record.save(run_dir / f"rep{rep:02d}.json")
+            RunRecord(ds, clusterer, rep, opt, catalog, front).save(run_dir / f"rep{rep:02d}.json")
             front.to_csv(run_dir / f"rep{rep:02d}_front.csv")
-            fronts.append(front.objectives_array())
+            fronts.append(front.objectives)
             log.info(
                 "%s / %s / rep %d: %d front points, %.2fs",
                 ds.name, clusterer, rep, len(front), elapsed,
@@ -482,7 +476,10 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     number of workers. A missing resources or native dataset file raises
     before anything is written. If datasets fail, the first failure in
     config order is raised, as with one worker, and no worker outlives the
-    call. Worker processes are started the platform's default way; a
+    call; the partial tree left behind is unspecified, because datasets
+    after the failed one may already have written their records, and
+    which ones differs with the worker count. Worker processes are
+    started the platform's default way; a
     script that calls this must guard its top level with
     `if __name__ == "__main__":` where that way is not fork. A worker that
     does not inherit the caller's logging handlers logs the per-run
@@ -576,7 +573,7 @@ def score_stored_runs(runs_dir, out_dir, normalize_igd: bool | None = None) -> P
                 record = load_record(record_path)
                 if not record.front:
                     raise wio.FormatError(f"{record_path}: the front is empty, so it has no metrics")
-                fronts.append(record.front.objectives_array())
+                fronts.append(record.front.objectives)
             if fronts:
                 fronts_by_algorithm[cl_dir.name] = fronts
         if fronts_by_algorithm:
@@ -597,15 +594,11 @@ def replay(record_path) -> tuple[Front, bool]:
         raise ConfigError(f"{record_path}: {exc}") from exc
     plan = make_plan(ws, record.catalog, record.clusterer)
     stored = record.front
-    width = len(stored.individuals[0].assignment) if stored else plan.n_clusters
+    width = stored.genes.shape[1] if stored else plan.n_clusters
     if width != plan.n_clusters:
         raise wio.FormatError(
             f"{record_path}: front genes have {width} entries, but the rebuilt plan has {plan.n_clusters} clusters"
         )
     order = order_interleave(plan, ws)
     front = run_with_evaluator(Evaluator(ws, record.catalog, plan, order), record.optimizer)
-    matches = len(front) == len(stored) and all(
-        a.genes_tuple() == b.genes_tuple() and tuple(a.objectives) == tuple(b.objectives)
-        for a, b in zip(front, stored)
-    )
-    return front, matches
+    return front, np.array_equal(front.genes, stored.genes) and np.array_equal(front.objectives, stored.objectives)

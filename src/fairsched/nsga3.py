@@ -94,7 +94,7 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class Individual:
-    """A front member: its assignment and its objective vector."""
+    """A front member, as row views of its front: assignment and objectives."""
 
     assignment: np.ndarray
     objectives: np.ndarray
@@ -103,30 +103,27 @@ class Individual:
         return tuple(self.assignment.tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Front:
-    """Pairwise non-dominated final individuals, deterministically ordered."""
+    """Pairwise non-dominated final members, deterministically ordered: row
+    i of `genes` (members x clusters, int) and of `objectives` (members x 3,
+    float) is member i. Iterating yields the members as `Individual` rows."""
 
-    individuals: tuple[Individual, ...] = field(default_factory=tuple)
+    genes: np.ndarray = field(default_factory=lambda: np.empty((0, 0), dtype=int))
+    objectives: np.ndarray = field(default_factory=lambda: np.empty((0, N_OBJECTIVES)))
 
     def __len__(self) -> int:
-        return len(self.individuals)
+        return len(self.objectives)
 
     def __iter__(self):
-        return iter(self.individuals)
-
-    def objectives_array(self) -> np.ndarray:
-        if not self.individuals:
-            return np.empty((0, N_OBJECTIVES))
-        return np.array([ind.objectives for ind in self.individuals], dtype=float)
+        return map(Individual, self.genes, self.objectives)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             out = csv.writer(fh)
-            width = len(self.individuals[0].assignment) if self.individuals else 0
-            out.writerow(["makespan", "total_cost", "unfairness"] + [f"gene_{i}" for i in range(width)])
-            for ind in self.individuals:
-                out.writerow([repr(v) for v in ind.objectives.tolist()] + ind.assignment.tolist())
+            out.writerow(["makespan", "total_cost", "unfairness"] + [f"gene_{i}" for i in range(self.genes.shape[1])])
+            for objectives, genes in zip(self.objectives.tolist(), self.genes.tolist()):
+                out.writerow([repr(v) for v in objectives] + genes)
 
 
 def reference_directions(divisions: int, n_obj: int = N_OBJECTIVES) -> np.ndarray:
@@ -458,5 +455,5 @@ def run_with_evaluator(evaluator: Evaluator, cfg: OptimizerConfig) -> Front:
     first: dict[tuple[int, ...], int] = {}
     for i in np.flatnonzero(rank == 0).tolist():
         first.setdefault(tuple(genes[i].tolist()), i)
-    ordered = sorted(first.items(), key=lambda item: (tuple(objs[item[1]]), item[0]))
-    return Front(tuple(Individual(genes[i], objs[i]) for _, i in ordered))
+    ordered = [i for _, i in sorted(first.items(), key=lambda item: (tuple(objs[item[1]]), item[0]))]
+    return Front(genes[ordered], objs[ordered])

@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fairsched import experiment
 from fairsched.cli import main
-from fairsched.io import load_native, load_resources
-from fairsched.model import validate
+from fairsched.io import default_catalog, load_native, load_resources, save_native, save_resources
+from fairsched.model import Edge, Resource, ResourceCatalog, Task, Workflow, WorkflowSet, validate
 
 
 def write_config(path: Path, out_dir: Path, **overrides) -> Path:
@@ -92,6 +94,60 @@ def test_replay_exit_1_on_mismatch(tmp_path, capsys):
     record.write_text(json.dumps(doc))
     assert main(["replay", "--record", str(record), "--quiet"]) == 1
     assert "DIFFERS" in capsys.readouterr().err
+
+
+def _ulp_up(front):
+    front["objectives"][-1][2] = float(np.nextafter(front["objectives"][-1][2], np.inf))
+
+
+def _next_resource(front):
+    front["genes"][0][-1] = (front["genes"][0][-1] + 1) % 6
+
+
+@pytest.mark.parametrize("edit", [_ulp_up, _next_resource], ids=["objective-one-ulp", "one-gene"])
+def test_replay_exit_1_on_one_changed_value(tmp_path, capsys, edit):
+    out_dir = tmp_path / "results"
+    main(["run", "--config", str(write_config(tmp_path / "config.json", out_dir)), "--quiet"])
+    record = out_dir / "runs" / "t" / "none" / "rep00.json"
+    doc = json.loads(record.read_text())
+    edit(doc["front"])
+    record.write_text(json.dumps(doc))
+    assert main(["replay", "--record", str(record), "--quiet"]) == 1
+    assert capsys.readouterr().err == "replay: front DIFFERS from the stored record\n"
+
+
+def _chain_config(tmp_path, workloads, catalog):
+    """A config over one native set: a chain a -> b with the given
+    workloads beside a one-task workflow, on the given catalog."""
+    chain = Workflow("w0", [Task("a", "w0", workloads[0]), Task("b", "w0", workloads[1])], [Edge("a", "b", 1.0)])
+    single = Workflow("w1", [Task("c", "w1", 1.0)], [])
+    save_native(WorkflowSet([chain, single]), tmp_path / "set.json")
+    save_resources(catalog, tmp_path / "resources.json")
+    return write_config(
+        tmp_path / "config.json", tmp_path / "results",
+        datasets=[{"name": "big", "path": str(tmp_path / "set.json")}], resources=str(tmp_path / "resources.json"),
+    )
+
+
+@pytest.mark.parametrize(
+    "workloads, catalog, named",
+    [
+        # finite baselines, but the slow resource runs task a for 1e310
+        ((1e300, 10.0), ResourceCatalog((Resource("slow", 1e-10, 1.0, 1.0, 1.0), Resource("fast", 1.0, 1.0, 1.0, 1.0))),
+         "times, costs or losses overflow the float range"),
+        # the cheapest alone cost of the chain is already inf
+        ((1e308, 1e308), default_catalog(), "workflow 'w0' has alone-run baselines makespan 6.25e+306 and cost inf"),
+    ],
+    ids=["overflowing-time", "overflowing-baseline"],
+)
+def test_run_refuses_overflowing_set_exit_2(tmp_path, capsys, workloads, catalog, named):
+    config = _chain_config(tmp_path, workloads, catalog)
+    # a RuntimeWarning is an error under this suite's settings, so none escapes either
+    assert main(["run", "--config", str(config), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+    assert not list((tmp_path / "results").glob("runs/**/rep*"))
 
 
 def test_run_overrides(tmp_path):
@@ -364,6 +420,11 @@ def _set_front(objectives, genes):
          "front objectives must be rows of 3 numbers"),
         (lambda doc: {**doc, "dataset": {"name": "t", "path": "nope.json"}},
          "rep00.json: dataset 't': file nope.json does not exist"),
+        # Python's json reads NaN and Infinity
+        (lambda doc: {**doc, "front": {**doc["front"], "objectives": [[math.nan] + o[1:] for o in doc["front"]["objectives"]]}},
+         "front objectives must be rows of 3 numbers, all finite"),
+        (lambda doc: {**doc, "front": {**doc["front"], "objectives": [o[:2] + [-math.inf] for o in doc["front"]["objectives"]]}},
+         "front objectives must be rows of 3 numbers, all finite"),
     ],
 )
 def test_replay_bad_record_schema_exit_2(tmp_path, capsys, edit, named):
@@ -397,6 +458,20 @@ def test_eval_names_record_with_invalid_json(tmp_path, capsys):
     assert main(["eval", "--runs", str(out_dir / "runs"), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert f"{bad}: invalid JSON" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_eval_names_record_with_non_finite_objective(tmp_path, capsys, value):
+    out_dir = tmp_path / "results"
+    main(["run", "--config", str(write_config(tmp_path / "config.json", out_dir, repetitions=2)), "--quiet"])
+    bad = out_dir / "runs" / "t" / "none" / "rep01.json"
+    doc = json.loads(bad.read_text())
+    doc["front"]["objectives"][0][1] = value
+    bad.write_text(json.dumps(doc))
+    assert main(["eval", "--runs", str(out_dir / "runs"), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: front objectives must be rows of 3 numbers, all finite" in err
     assert "Traceback" not in err
 
 

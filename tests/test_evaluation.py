@@ -21,6 +21,7 @@ from fairsched.clustering import (
     upward_rank,
 )
 from fairsched.evaluation import (
+    Baselines,
     Evaluator,
     cheapest_alone,
     comm_time,
@@ -268,6 +269,30 @@ def test_baselines_reject_zero_workload(unit_catalog):
     zero = WorkflowSet([Workflow("z", [Task("a", "z", 0.0)], [])])
     with pytest.raises(ValueError, match="baseline"):
         compute_baselines(zero, unit_catalog)
+
+
+def test_baselines_reject_infinite_makespan_or_cost():
+    half = ResourceCatalog((Resource("r0", 0.5, 10.0, 1.0, 1.0),))
+    huge = WorkflowSet([Workflow("h", [Task("a", "h", 1e308)], [])])
+    with pytest.raises(ValueError, match="makespan inf and cost inf; fairness needs both positive and finite"):
+        compute_baselines(huge, half)
+
+
+def test_evaluator_refuses_sets_whose_values_could_overflow(unit_catalog):
+    # finite baselines and objectives, but raw IGD squares objective differences up to 1e200
+    big = WorkflowSet([Workflow("w", [Task("a", "w", 1e200)], [])])
+    plan = cluster_none(big)
+    with pytest.raises(ValueError, match="overflow the float range"):
+        Evaluator(big, unit_catalog, plan, order_interleave(plan, big))
+    # zero baselines given by the caller leave the losses unbounded
+    small = WorkflowSet([Workflow("w", [Task("a", "w", 1.0)], [])])
+    plan = cluster_none(small)
+    with pytest.raises(ValueError, match="a loss up to inf"):
+        Evaluator(small, unit_catalog, plan, order_interleave(plan, small), Baselines({"w": 0.0}, {"w": 1.0}))
+    # the largest values still in range decode without a warning
+    edge = WorkflowSet([Workflow("w", [Task("a", "w", 1e150)], [])])
+    plan = cluster_none(edge)
+    assert Evaluator(edge, unit_catalog, plan, order_interleave(plan, edge)).objectives([0]) == (1e150, 1e150, 0.0)
 
 
 def test_unfairness_is_population_std():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from fairsched import experiment
+from fairsched.clustering import make_plan, order_interleave
 from fairsched.experiment import (
     ConfigError,
     DatasetSpec,
@@ -21,10 +22,10 @@ from fairsched.experiment import (
     run_experiment,
     score_stored_runs,
 )
-from fairsched.generator import GeneratorSpec, stable_seed
+from fairsched.generator import GeneratorSpec, generate, stable_seed
 from fairsched.io import FormatError, default_catalog, load_native, load_resources, save_native
 from fairsched.model import validate
-from fairsched.nsga3 import Front, OptimizerConfig
+from fairsched.nsga3 import Front, OptimizerConfig, run
 from oracles import read_run_scores_csv
 
 
@@ -163,8 +164,8 @@ def test_run_experiment_tree_and_contents(tmp_path):
                 assert record_path.exists()
                 assert (run_dir / f"rep{rep:02d}_front.csv").exists()
                 record = load_record(record_path)
-                assert record.seed == stable_seed(cfg.seed, name, clusterer, rep)
-                assert record.optimizer.seed == record.seed
+                assert record.optimizer.seed == stable_seed(cfg.seed, name, clusterer, rep)
+                assert json.loads(record_path.read_text())["seed"] == record.optimizer.seed
                 assert len(record.front) >= 1
                 assert "wall_time" not in record_path.read_text()
 
@@ -445,12 +446,28 @@ def test_replay_detects_tampered_record(tmp_path):
     assert not matches
 
 
+@pytest.mark.parametrize("searched", [True, False], ids=["searched", "empty"])
+def test_record_round_trip_keeps_front_matrices(tmp_path, searched):
+    ds = DatasetSpec(name="dsA", generator=tiny_gen())
+    catalog = default_catalog()
+    opt = OptimizerConfig(population=6, generations=2, divisions=4, seed=5)
+    front = Front()
+    if searched:
+        ws = generate(ds.generator)
+        plan = make_plan(ws, catalog, "dfs-cst")
+        front = run(ws, catalog, plan, order_interleave(plan, ws), opt)
+        assert len(front) >= 1
+    RunRecord(ds, "dfs-cst", 0, opt, catalog, front).save(tmp_path / "rec.json")
+    loaded = load_record(tmp_path / "rec.json").front
+    for a, b in ((front.genes, loaded.genes), (front.objectives, loaded.objectives)):
+        assert (a.shape, a.dtype.kind, a.tobytes()) == (b.shape, b.dtype.kind, b.tobytes())
+
+
 def test_replay_missing_dataset_file_fails_clearly(tmp_path):
     record = RunRecord(
         dataset=DatasetSpec(name="gone", path="no/such/file.json"),
         clusterer="none",
         repetition=0,
-        seed=1,
         optimizer=OptimizerConfig(population=4, generations=1, seed=1),
         catalog=default_catalog(),
         front=Front(),

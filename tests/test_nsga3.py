@@ -612,7 +612,7 @@ def test_run_single_assignment_space():
     order = order_interleave(plan, ws)
     front = run(ws, catalog, plan, order, OptimizerConfig(population=4, generations=3, seed=7))
     assert len(front) == 1
-    only = front.individuals[0]
+    only = next(iter(front))
     assert only.genes_tuple() == (0,)
     ev = Evaluator(ws, catalog, plan, order)
     assert tuple(only.objectives) == ev.objectives([0])
@@ -674,7 +674,7 @@ def test_run_evaluates_population_once_per_generation():
 def test_run_front_internally_nondominated():
     ws, catalog, plan, order = _tiny_problem()
     front = run(ws, catalog, plan, order, OptimizerConfig(population=10, generations=10, seed=3))
-    objs = front.objectives_array()
+    objs = front.objectives
     levels = nondominated_sort(objs)
     assert len(levels) == 1
     # deterministic presentation order
@@ -688,7 +688,7 @@ def test_run_is_bit_deterministic():
     f1 = run(ws, catalog, plan, order, cfg)
     f2 = run(ws, catalog, plan, order, cfg)
     assert [ind.genes_tuple() for ind in f1] == [ind.genes_tuple() for ind in f2]
-    assert np.array_equal(f1.objectives_array(), f2.objectives_array())
+    assert np.array_equal(f1.objectives, f2.objectives)
 
 
 def test_run_improves_on_initial_population():
@@ -700,7 +700,7 @@ def test_run_improves_on_initial_population():
     init = _rng(cfg.seed, 0).integers(0, 2, size=(cfg.population, plan.n_clusters))
     init_best = np.array([ev.objectives(init[i]) for i in range(cfg.population)]).min(axis=0)
     front = run(ws, catalog, plan, order, cfg)
-    final_best = front.objectives_array().min(axis=0)
+    final_best = front.objectives.min(axis=0)
     assert (final_best <= init_best + 1e-12).all()
 
 
@@ -750,4 +750,5 @@ def test_front_csv_round_trip(tmp_path):
 
 
 def test_empty_front_objectives_array():
-    assert Front().objectives_array().shape == (0, 3)
+    assert Front().objectives.shape == (0, 3)
+    assert len(Front()) == 0 and list(Front()) == []
