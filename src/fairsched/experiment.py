@@ -288,7 +288,7 @@ class RunRecord:
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        wio.write_json(path, self.to_dict())
 
 
 def _front_rows(rows: list, kinds: str) -> np.ndarray | None:
@@ -507,7 +507,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.output_dir)
     (out / "datasets").mkdir(parents=True, exist_ok=True)
     (out / "metrics").mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2) + "\n")
+    wio.write_json(out / "config.json", cfg.to_dict())
     wio.save_resources(catalog, out / "resources.json")
 
     run_one = partial(_run_dataset, cfg, catalog, out)

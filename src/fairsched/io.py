@@ -10,13 +10,17 @@ Two on-disk formats are supported:
   reads.
 
 Schema problems raise FormatError naming the offending field or element.
+Every JSON file the package writes goes through `write_json`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import xml.etree.ElementTree as ET
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .model import Edge, Resource, ResourceCatalog, Task, Workflow, WorkflowSet, validate
@@ -55,6 +59,159 @@ def _number(mapping, key, where, minimum=None, strict=False):
         if not strict and value < minimum:
             raise FormatError(f"{where}.{key}: must be >= {minimum}, got {value}")
     return value
+
+
+# ---------------------------------------------------------------------------
+# JSON text
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` to `path` as the bytes of `json.dumps(doc, indent=2)` and a
+    newline.
+
+    Before Python 3.13, json encodes indented text in pure Python, one
+    generator step per value; `_indented` builds the same text a whole list
+    at a time. From 3.13 on, json's C encoder takes `indent` and is the
+    faster of the two, so it is used there. `_indented` goes when
+    `requires-python` reaches 3.13.
+    """
+    text = json.dumps(doc, indent=2) if sys.version_info >= (3, 13) else _indented(doc)
+    Path(path).write_text(text + "\n")
+
+
+_INDENT = "  "
+_NUMBERS = frozenset((int, float))
+
+
+def _float(x) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _scalar(x) -> str:
+    # json's order of checks: a bool is an int, and subclasses of str, int
+    # and float print as those
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _float(x)
+    raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        pass
+    elif isinstance(key, float):
+        key = _float(key)
+    elif key is True:
+        key = "true"
+    elif key is False:
+        key = "false"
+    elif key is None:
+        key = "null"
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _indented(doc, level: int = 0, markers: set | None = None) -> str:
+    """The text of `json.dumps(doc, indent=2)`, with json's errors: TypeError
+    for a value or key it cannot encode, ValueError for a container that
+    holds itself."""
+    if not isinstance(doc, (list, tuple, dict)):
+        return _scalar(doc)
+    if not doc:
+        return "[]" if isinstance(doc, (list, tuple)) else "{}"
+    inner = "\n" + _INDENT * (level + 1)
+    if isinstance(doc, dict):
+        opening, closing, body = "{", "}", None
+    else:
+        opening, closing, body = "[", "]", _flat(doc, inner)
+    if body is None:
+        markers = set() if markers is None else markers
+        if id(doc) in markers:
+            raise ValueError("Circular reference detected")
+        markers.add(id(doc))
+        if isinstance(doc, dict):
+            parts = [_key(k) + ": " + _indented(v, level + 1, markers) for k, v in doc.items()]
+        else:
+            parts = [_indented(v, level + 1, markers) for v in doc]
+        markers.remove(id(doc))
+        body = ("," + inner).join(parts)
+    return opening + inner + body + "\n" + _INDENT * level + closing
+
+
+def _flat(items, inner: str) -> str | None:
+    """The joined items of a list of numbers, of strings, of rows of numbers
+    or of flat dicts with equal keys, each checked by exact type; None for
+    any other list. Numbers go through one `%r` format for the whole list:
+    `%r` of an int or a float is json's text except for nan and the
+    infinities, whose reprs alone contain an "n"."""
+    types = set(map(type, items))
+    if types <= _NUMBERS:
+        text = ("," + inner).join(["%r"] * len(items)) % tuple(items)
+        return text if "n" not in text else None
+    if types == {str}:
+        return ("," + inner).join(map(encode_basestring_ascii, items))
+    if types == {list}:
+        return _matrix(items, inner)
+    if types == {dict}:
+        return _table(items, inner)
+    return None
+
+
+def _matrix(rows: list, inner: str) -> str | None:
+    """Non-empty rows of numbers through one format; None otherwise."""
+    if not all(rows):
+        return None
+    flat = tuple(chain.from_iterable(rows))
+    if not set(map(type, flat)) <= _NUMBERS:
+        return None
+    inner2 = inner + _INDENT
+    shapes = {n: "[" + inner2 + ("," + inner2).join(["%r"] * n) + inner + "]" for n in set(map(len, rows))}
+    text = ("," + inner).join(map(shapes.__getitem__, map(len, rows))) % flat
+    return text if "n" not in text else None
+
+
+def _table(dicts: list, inner: str) -> str | None:
+    """Dicts with the same str keys in the same order, each key's values
+    all ints, all finite floats or all strings, through one format; None
+    otherwise. A dict holds no key twice, so keys
+    that chain into the first dict's keys repeated are each dict's keys."""
+    keys = list(dicts[0])
+    if not keys or set(map(type, keys)) != {str} or list(chain.from_iterable(dicts)) != keys * len(dicts):
+        return None
+    values = list(chain.from_iterable(map(dict.values, dicts)))
+    inner2 = inner + _INDENT
+    fields = []
+    for j, key in enumerate(keys):
+        column = values[j :: len(keys)]
+        types = set(map(type, column))
+        if types == {int} or (types == {float} and math.isfinite(sum(column))):
+            spec = "%r"
+        elif types == {str}:
+            spec = "%s"
+            values[j :: len(keys)] = map(encode_basestring_ascii, column)
+        else:
+            return None
+        fields.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + spec)
+    row = "{" + inner2 + ("," + inner2).join(fields) + inner + "}"
+    return ("," + inner).join([row] * len(dicts)) % tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +266,7 @@ def workflow_set_from_dict(doc: dict, where: str = "document") -> WorkflowSet:
 
 
 def save_native(ws: WorkflowSet, path) -> None:
-    Path(path).write_text(json.dumps(workflow_set_to_dict(ws), indent=2) + "\n")
+    write_json(path, workflow_set_to_dict(ws))
 
 
 def load_native(path) -> WorkflowSet:
@@ -161,7 +318,7 @@ def resources_from_dict(doc: dict, where: str = "document") -> ResourceCatalog:
 
 
 def save_resources(catalog: ResourceCatalog, path) -> None:
-    Path(path).write_text(json.dumps(resources_to_dict(catalog), indent=2) + "\n")
+    write_json(path, resources_to_dict(catalog))
 
 
 def load_resources(path) -> ResourceCatalog:

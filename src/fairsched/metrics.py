@@ -166,22 +166,32 @@ def score_fronts(
     """IGD and hypervolume of every run front against the dataset's union
     reference. Bounds are never mixed across datasets: callers score each
     dataset separately. One warning names the runs whose normalized fronts
-    have points that `hv` clips, and the runs that score a hypervolume of 0."""
+    have points that `hv` clips, and the runs that score a hypervolume of 0.
+    A metric that overflows float raises ValueError naming the dataset and,
+    where one run's front causes it, the clusterer and repetition."""
     all_fronts = [f for runs in fronts_by_algorithm.values() for f in runs]
     ref_pts_raw = union_reference(all_fronts)
     bounds = norm_bounds(ref_pts_raw)
-    ref_pts = normalize(ref_pts_raw, bounds)
+    with np.errstate(over="raise"):
+        try:
+            ref_pts = normalize(ref_pts_raw, bounds)
+        except FloatingPointError:
+            raise ValueError(f"dataset {dataset}: the union reference's range overflows float") from None
     scores: list[RunScore] = []
     clipped: list[str] = []
     empty: list[str] = []
     for algorithm in fronts_by_algorithm:
         for rep, front in enumerate(fronts_by_algorithm[algorithm]):
-            norm_front = normalize(front, bounds)
-            if normalize_igd:
-                igd_value = igd(norm_front, ref_pts)
-            else:
-                igd_value = igd(front, ref_pts_raw)
-            hv_value = hv(norm_front)
+            with np.errstate(over="raise"):
+                try:
+                    norm_front = normalize(front, bounds)
+                    igd_value = igd(norm_front, ref_pts) if normalize_igd else igd(front, ref_pts_raw)
+                    hv_value = hv(norm_front)
+                except FloatingPointError:
+                    raise ValueError(
+                        f"dataset {dataset}, clusterer {algorithm}, repetition {rep}: "
+                        "the front's distance to the union reference overflows float"
+                    ) from None
             scores.append(RunScore(dataset, algorithm, rep, igd_value, hv_value))
             beyond = int((~(norm_front < HV_REFERENCE).all(axis=1)).sum())
             if beyond:

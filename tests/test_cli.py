@@ -12,7 +12,8 @@ import pytest
 
 from fairsched import experiment
 from fairsched.cli import main
-from fairsched.io import default_catalog, load_native, load_resources, save_native, save_resources
+from fairsched.generator import generate, table2_specs
+from fairsched.io import default_catalog, load_native, load_resources, save_native, save_resources, workflow_set_to_dict
 from fairsched.model import Edge, Resource, ResourceCatalog, Task, Workflow, WorkflowSet, validate
 
 
@@ -58,6 +59,14 @@ def test_gen_table2_design(tmp_path, capsys):
     assert files == [f"ds{i:02d}.json" for i in range(1, 17)]
     assert (out / "resources.json").exists()
     assert capsys.readouterr().out == ""
+
+
+def test_gen_table2_files_are_json_dumps_text(tmp_path):
+    out = tmp_path / "bench"
+    assert main(["gen", "--out", str(out), "--table2", "--seed", "5", "--quiet"]) == 0
+    for name, spec in table2_specs(5):
+        expected = json.dumps(workflow_set_to_dict(generate(spec)), indent=2) + "\n"
+        assert (out / f"{name}.json").read_text() == expected, name
 
 
 def test_gen_requires_spec_or_table2(tmp_path, capsys):
@@ -473,6 +482,23 @@ def test_eval_names_record_with_non_finite_objective(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert f"{bad}: front objectives must be rows of 3 numbers, all finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw", [[], ["--raw-igd"]])
+def test_eval_names_run_whose_igd_overflows(tmp_path, capsys, raw):
+    """A finite objective far beyond the union reference's range passes
+    load_record, but its squared distance overflows float: exit 2, naming
+    the run, where the metrics used to come out changed with exit 0."""
+    out_dir = tmp_path / "results"
+    main(["run", "--config", str(write_config(tmp_path / "config.json", out_dir, repetitions=2)), "--quiet"])
+    bad = out_dir / "runs" / "t" / "none" / "rep01.json"
+    doc = json.loads(bad.read_text())
+    doc["front"]["objectives"][0] = [1e200, 1e200, 1e200]
+    bad.write_text(json.dumps(doc))
+    assert main(["eval", "--runs", str(out_dir / "runs"), "--out", str(tmp_path / "o"), "--quiet", *raw]) == 2
+    err = capsys.readouterr().err
+    assert "error: dataset t, clusterer none, repetition 1: " in err
+    assert "overflows float" in err and "Traceback" not in err
 
 
 def test_eval_names_record_with_empty_front(tmp_path, capsys):

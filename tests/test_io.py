@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import enum
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairsched.generator import GeneratorSpec, generate
 from fairsched.io import (
@@ -13,11 +17,14 @@ from fairsched.io import (
     load_dax,
     load_native,
     load_resources,
+    resources_to_dict,
     save_native,
     save_resources,
     workflow_set_from_dict,
     workflow_set_to_dict,
+    write_json,
 )
+from fairsched.io import _indented
 from fairsched.model import WorkflowSet
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -38,6 +45,135 @@ def test_native_round_trip_generated(tmp_path):
     # exact float survival through JSON
     save_native(again, tmp_path / "gen2.json")
     assert (tmp_path / "gen.json").read_text() == (tmp_path / "gen2.json").read_text()
+
+
+# ---------------------------------------------------------------------------
+# write_json: the bytes of json.dumps(doc, indent=2) and a newline
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e22, 1.5e300, math.nan, math.inf, -math.inf]
+EDGE_INTS = [0, -1, 2**63, 2**64, -(2**64) - 1, 10**30]
+TEXTS = st.text(st.characters(exclude_categories=()), max_size=6) | st.sampled_from(
+    ["", "%s", "%r", "%%", 'q"\\', "\x00\x1f\x7f", "é\u2028😀"]
+)
+INTS = st.integers() | st.sampled_from(EDGE_INTS)
+FLOATS = st.floats() | st.sampled_from(EDGE_FLOATS)
+SCALARS = st.none() | st.booleans() | INTS | FLOATS | TEXTS
+KEYS = TEXTS | INTS | FLOATS | st.booleans() | st.none()
+
+
+@st.composite
+def tables(draw):
+    """Lists of dicts with equal keys, each column of one type or of mixed ones."""
+    keys = draw(st.lists(TEXTS, unique=True, max_size=4))
+    columns = [draw(st.sampled_from([INTS, FLOATS, TEXTS, st.booleans(), SCALARS])) for _ in keys]
+    rows = draw(st.lists(st.tuples(*columns), max_size=5))
+    return [dict(zip(keys, row)) for row in rows]
+
+
+def _containers(children):
+    return (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(KEYS, children, max_size=4)
+        | st.lists(st.lists(INTS | st.booleans(), max_size=4), max_size=4)  # bools among ints
+        | st.lists(st.lists(INTS | FLOATS, min_size=1, max_size=4), max_size=4)
+        | st.lists(FLOATS, max_size=5)
+        | st.lists(TEXTS, max_size=5)
+        | tables()
+    )
+
+
+DOCUMENTS = st.recursive(SCALARS, _containers, max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DOCUMENTS)
+def test_indented_text_equals_json_dumps(doc):
+    """The fast path itself, whichever path write_json takes here."""
+    assert _indented(doc) == json.dumps(doc, indent=2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(DOCUMENTS)
+def test_write_json_writes_json_dumps_bytes(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("json") / "doc.json"
+    write_json(path, doc)
+    assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+
+
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [True, 1, False, 0],
+        [[1, True], [2, 3]],
+        [{"a": 1}, {"a": True}],
+        [{"a": 1.0, "b": "x"}, {"b": "x", "a": 1.0}],  # equal keys in another order
+        [{"a": 1}, {"a": 1, "b": 2}],
+        [{"a": [1]}, {"a": [2]}],
+        [{}, {}],
+        [{1: "x"}, {1: "y"}],
+        [[], [1.0]],
+        [_Colour.RED, 2],
+        [[_Colour.RED, 2]],
+        [{"c": _Colour.RED}],
+        [_Text("x"), "y"],
+        [np.float64(0.1), 0.2],
+        [[np.float64(0.1)]],
+        {"n": [1, math.nan], "i": [[math.inf, 1]], "t": [{"x": -math.inf}, {"x": 1.0}]},
+        {1.5: 1, True: 2, None: 3, -0.0: 4},
+        ("a", (1, 2), [()]),
+    ],
+)
+def test_indented_text_of_subclasses_and_near_misses(doc):
+    assert _indented(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {1, 2},
+        b"x",
+        [1, 2, 1j],
+        [[1, 2], [3, np.int64(4)]],
+        [{"a": 1}, {"a": object()}],
+        [{"a": 1.0}, {"a": Path("x")}],
+        {(1, 2): 3},
+        {"a": [1, {2: {3}}]},
+    ],
+)
+def test_write_json_refuses_what_json_refuses(tmp_path, doc):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError) as raised:
+        _indented(doc)
+    assert str(raised.value) == str(expected.value)
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "x.json", doc)
+
+
+def test_write_json_refuses_a_container_that_holds_itself(tmp_path):
+    looped = [1, {"a": []}]
+    looped[1]["a"].append(looped)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        _indented(looped)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        write_json(tmp_path / "x.json", looped)
+
+
+def test_saved_native_set_and_catalog_are_json_dumps_text(tmp_path):
+    ws = generate(GeneratorSpec(3, (5, 9), 1000.0, 0.3, seed=7))
+    save_native(ws, tmp_path / "ws.json")
+    save_resources(default_catalog(), tmp_path / "r.json")
+    assert (tmp_path / "ws.json").read_text() == json.dumps(workflow_set_to_dict(ws), indent=2) + "\n"
+    assert (tmp_path / "r.json").read_text() == json.dumps(resources_to_dict(default_catalog()), indent=2) + "\n"
 
 
 def test_native_field_names(diamond_set):

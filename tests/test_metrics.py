@@ -266,6 +266,27 @@ def test_score_fronts_raw_igd_option():
     assert by_alg["a"].igd == 0.0
 
 
+@pytest.mark.parametrize("normalize_igd", [True, False])
+@pytest.mark.parametrize(
+    "far",
+    [
+        [1e200, 1e200, 1e200],  # its squared distance to the reference overflows
+        [1e10, 2.0, 2.0],  # normalizing 1e10 by the reference's 1e-300 range overflows
+    ],
+)
+def test_score_fronts_names_the_run_whose_metric_overflows(far, normalize_igd):
+    reference = np.array([[0.0, 1.0, 1.0], [1e-300, 0.0, 0.0]])
+    fronts = {"a": [reference], "b": [reference, np.vstack([reference, [far]])]}
+    with pytest.raises(ValueError, match="^dataset d, clusterer b, repetition 1: .*overflows float"):
+        score_fronts("d", fronts, normalize_igd=normalize_igd)
+
+
+def test_score_fronts_names_the_dataset_whose_reference_range_overflows():
+    reference = np.array([[-1e308, 1.0, 1.0], [1e308, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="^dataset d: the union reference's range overflows float"):
+        score_fronts("d", {"a": [reference]})
+
+
 def test_aggregate_scores_means_stds_and_rdi():
     scores = [
         RunScore("d", "A", 0, 1.0, 2.0),
