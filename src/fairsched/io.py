@@ -113,20 +113,10 @@ def _scalar(x) -> str:
 
 def _key(key) -> str:
     if isinstance(key, str):
-        pass
-    elif isinstance(key, float):
-        key = _float(key)
-    elif key is True:
-        key = "true"
-    elif key is False:
-        key = "false"
-    elif key is None:
-        key = "null"
-    elif isinstance(key, int):
-        key = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-    return encode_basestring_ascii(key)
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:  # a bool is an int
+        return '"' + _scalar(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _indented(doc, level: int = 0, markers: set | None = None) -> str:
