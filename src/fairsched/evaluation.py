@@ -49,9 +49,11 @@ from .model import GraphError, Resource, ResourceCatalog, Task, Workflow, Workfl
 # 1.5k-task set, 32 was the fastest of 16, 32, 64 and 128 at 1 to 100 rows
 # and within 6% of the fastest (16) at 150 rows; 16 was up to 12% slower at
 # 1 row and 128 up to 27% slower at 150 rows. The tracemalloc peak of a
-# 100-row call grows with the block: 2.08 MB at 16, 2.30 MB at 32, 2.67 MB
-# at 64 and 3.44 MB at 128. Of the 2.30 MB, 1.22 MB are the finish times
-# and 0.60 MB the contiguous copy of the genes that the gathers read.
+# 100-row call (774 clusters, genes in `gene_dtype`, uint8 here) grows with
+# the block: 1.50 MB at 16, 1.67 MB at 32, 2.02 MB at 64 and 2.72 MB at 128.
+# Of the 1.67 MB, 1.18 MB are the finish times and 0.07 MB the contiguous
+# copy of the genes that the gathers read; in int64 that copy would be
+# 0.59 MB and the peak 2.21 MB.
 _BLOCK = 32
 
 
@@ -237,6 +239,13 @@ def _check_worst_case(workloads, data_sizes, catalog: ResourceCatalog, heft, che
         )
 
 
+def gene_dtype(n_resources: int) -> np.dtype:
+    """The dtype of every gene matrix over a catalog of `n_resources`, the
+    smallest unsigned type that holds index n_resources - 1: uint8 up to
+    256 resources, uint16 up to 65,536."""
+    return np.min_scalar_type(n_resources - 1)
+
+
 class Evaluator:
     """Precomputed decoder for one (set, catalog, plan, order) context.
 
@@ -404,21 +413,23 @@ class Evaluator:
         return len(self.catalog)
 
     def _check_genes(self, genes) -> np.ndarray:
-        """The genes as an integer array: one assignment vector, or a matrix
-        with one assignment per row."""
+        """The genes in `gene_dtype(n_resources)`, copied only when given in
+        another type: one assignment vector, or a matrix with one assignment
+        per row. Any integer type with every index in range is accepted, and
+        the walk sees one type (uint64 genes plus intp offsets would give
+        float indices)."""
         G = np.asarray(genes)
         if G.ndim not in (1, 2):
             raise ValueError(f"genes must be one assignment vector or a matrix of them, got {G.ndim} dimensions")
         if G.shape[-1] != self.plan.n_clusters:
             raise ValueError(f"assignment length {G.shape[-1]} != cluster count {self.plan.n_clusters}")
-        if G.size == 0:
-            return G.astype(np.intp)
-        if G.dtype.kind not in "iu":
-            raise ValueError(f"resource indices must be integers, got {G.dtype} values")
-        lo, hi = G.min(), G.max()
-        if lo < 0 or hi >= self.n_resources:
-            raise ValueError(f"resource index {lo if lo < 0 else hi} out of range 0..{self.n_resources - 1}")
-        return G.astype(np.intp, copy=False)
+        if G.size:
+            if G.dtype.kind not in "iu":
+                raise ValueError(f"resource indices must be integers, got {G.dtype} values")
+            lo, hi = G.min(), G.max()
+            if lo < 0 or hi >= self.n_resources:
+                raise ValueError(f"resource index {lo if lo < 0 else hi} out of range 0..{self.n_resources - 1}")
+        return G.astype(gene_dtype(self.n_resources), copy=False)
 
     def _walk(self, genes_of: np.ndarray, st: np.ndarray | None = None) -> np.ndarray:
         """Decode every row in one pass over the global order.
@@ -441,8 +452,8 @@ class Evaluator:
             R = genes_of.take(cluster_of[a:b], axis=0)
             slots = R + row_base
             E = exec_.take(R + offset[a:b])
-            link = genes_of.take(self._edge_src_cl[e0:e1], axis=0)
-            link *= n_res
+            # the link index in intp: a uint8 product wraps from 17 resources on
+            link = np.multiply(genes_of.take(self._edge_src_cl[e0:e1], axis=0), n_res, dtype=np.intp)
             link += genes_of.take(self._edge_dst_cl[e0:e1], axis=0)
             TR = np.divide(edge_size[e0:e1], self._link.take(link))
             # data-ready times over the edges carried in from earlier
@@ -488,7 +499,9 @@ class Evaluator:
         """(makespan, total cost, unfairness) of each assignment.
 
         A (P x n_clusters) gene matrix gives a (P x 3) float array; a single
-        assignment vector gives one tuple.
+        assignment vector gives one tuple. The walk reads the contiguous
+        transpose of the genes in `gene_dtype(n_resources)`; the resource
+        indices it gathers are widened to intp where offsets are added.
         """
         G = self._check_genes(genes)
         genes_of = np.ascontiguousarray(np.atleast_2d(G).T)

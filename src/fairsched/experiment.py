@@ -34,7 +34,7 @@ import numpy as np
 
 from . import io as wio
 from .clustering import CLUSTERERS, make_plan, order_interleave
-from .evaluation import Evaluator, compute_baselines
+from .evaluation import Evaluator, compute_baselines, gene_dtype
 from .generator import GeneratorSpec, generate, stable_seed, table2_specs
 from .metrics import aggregate_scores, score_fronts, write_aggregate_csv, write_rdi_csv, write_run_scores_csv
 from .model import ResourceCatalog, WorkflowSet, ensure_valid
@@ -321,7 +321,7 @@ def _front_from_dict(doc, where: str, n_resources: int) -> Front:
         raise wio.FormatError(f"{where}: front genes must be rows of integers of one length")
     if genes.min() < 0 or genes.max() >= n_resources:
         raise wio.FormatError(f"{where}: front genes must be resource indices in 0..{n_resources - 1}")
-    return Front(genes, objectives.astype(float))
+    return Front(genes.astype(gene_dtype(n_resources)), objectives.astype(float))
 
 
 _RECORD_FIELDS = ("dataset", "clusterer", "repetition", "seed", "optimizer", "resources", "front")

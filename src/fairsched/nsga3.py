@@ -1,13 +1,15 @@
 """NSGA-III search over cluster-to-resource assignments.
 
 A solution is an integer vector with one resource index per cluster,
-evaluated to (makespan, total cost, unfairness) by the decoder. Each
-generation builds offspring by binary tournament (nondomination rank, then
-niche crowding, then a coin flip), single-point crossover and per-gene
-uniform resampling mutation, then truncates parents + offspring back to the
-population size with reference-direction niching on a Das-Dennis simplex
-lattice, normalizing objectives adaptively with ideal point and hyperplane
-intercepts through the extreme points.
+evaluated to (makespan, total cost, unfairness) by the decoder. Every gene
+matrix, from the initial population to the returned front, is stored in
+the catalog's `gene_dtype`, the smallest unsigned type that holds every
+resource index. Each generation builds offspring by binary tournament
+(nondomination rank, then niche crowding, then a coin flip), single-point
+crossover and per-gene uniform resampling mutation, then truncates
+parents + offspring back to the population size with reference-direction
+niching on a Das-Dennis simplex lattice, normalizing objectives adaptively
+with ideal point and hyperplane intercepts through the extreme points.
 
 One deliberate addition to the textbook truncation: when the boundary front
 is split, the per-objective minimizers of the candidate pool are admitted
@@ -42,27 +44,27 @@ numpy's own `SeedSequence(seed, spawn_key=key[:-1]).pool` holds the seed
 and all but the last key word; the last key word and the seeding words of
 all of a generation's slots are hashed at once, as uint32 arrays, and
 PCG64 seeds itself from those words. The initial population is one sized
-`Generator.integers` call on its PCG64. Every other draw is scalar and
-comes from a `DrawStream` (`draws.py`) over the slot's or the selection's
-PCG64: Python integer arithmetic on raw words that gives the values
-numpy's `Generator` calls give, while the stream and its generator live
-for that one slot or selection only.
+int64 `Generator.integers` call on its PCG64, cast once to the gene dtype
+(a call in that dtype would read other words). Every other draw is scalar
+and comes from a `DrawStream` (`draws.py`) over the slot's or the
+selection's PCG64: Python integer arithmetic on raw words that gives the
+values numpy's `Generator` calls give, while the stream and its generator
+live for that one slot or selection only.
 """
 
 from __future__ import annotations
 
-import csv
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .clustering import ClusterPlan, OrderedPlan
 from .draws import DrawStream
-from .evaluation import Baselines, Evaluator
+from .evaluation import Baselines, Evaluator, gene_dtype
 from .model import ResourceCatalog, WorkflowSet
 
 N_OBJECTIVES = 3
@@ -106,8 +108,10 @@ class Individual:
 @dataclass(frozen=True, eq=False)
 class Front:
     """Pairwise non-dominated final members, deterministically ordered: row
-    i of `genes` (members x clusters, int) and of `objectives` (members x 3,
-    float) is member i. Iterating yields the members as `Individual` rows."""
+    i of `genes` (members x clusters, in the catalog's `gene_dtype`: uint8
+    up to 256 resources, uint16 up to 65,536) and of `objectives` (members
+    x 3, float) is member i. Iterating yields the members as `Individual`
+    rows. The empty default front has int genes."""
 
     genes: np.ndarray = field(default_factory=lambda: np.empty((0, 0), dtype=int))
     objectives: np.ndarray = field(default_factory=lambda: np.empty((0, N_OBJECTIVES)))
@@ -119,11 +123,15 @@ class Front:
         return map(Individual, self.genes, self.objectives)
 
     def to_csv(self, path) -> None:
+        """The bytes `csv.writer` writes for the header and one row per
+        member (`repr` objectives, then int genes), built with one format:
+        no field holds a comma, quote or line break, and lines end in CRLF."""
+        n = self.genes.shape[1]
+        header = ",".join(["makespan", "total_cost", "unfairness"] + [f"gene_{i}" for i in range(n)])
+        rows = map(list.__add__, self.objectives.tolist(), self.genes.tolist())
+        text = (",".join(["%r"] * (N_OBJECTIVES + n)) + "\r\n") * len(self) % tuple(chain.from_iterable(rows))
         with open(path, "w", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(["makespan", "total_cost", "unfairness"] + [f"gene_{i}" for i in range(self.genes.shape[1])])
-            for objectives, genes in zip(self.objectives.tolist(), self.genes.tolist()):
-                out.writerow([repr(v) for v in objectives] + genes)
+            fh.write(header + "\r\n" + text)
 
 
 def reference_directions(divisions: int, n_obj: int = N_OBJECTIVES) -> np.ndarray:
@@ -437,15 +445,16 @@ def run_with_evaluator(evaluator: Evaluator, cfg: OptimizerConfig) -> Front:
 
     init, select = _generators(cfg.seed, (), np.arange(2))
     genes = np.random.Generator(init.bit_generator).integers(0, n_res, size=(cfg.population, evaluator.n_clusters))
+    genes = genes.astype(gene_dtype(n_res))  # after the int64 draw: `integers(dtype=)` reads other words
     objs = evaluator.objectives(genes)
     keep, rank, crowd = _select_survivors(objs, cfg.population, refs, select)
     genes, objs = genes[keep], objs[keep]
 
     slots = np.arange((cfg.population + 1) // 2)
     for gen in range(cfg.generations):
-        rngs = _generators(cfg.seed, (2, gen), slots)
-        # the children live only in the pool, one gene matrix fewer at the memory peak
-        genes = np.concatenate([genes, _offspring(genes, rank, crowd, rngs, cfg, n_res)])
+        # the children live only in the pool and the slot streams only in
+        # `_offspring`, so neither is held through the decode's memory peak
+        genes = np.concatenate([genes, _offspring(genes, rank, crowd, _generators(cfg.seed, (2, gen), slots), cfg, n_res)])
         objs = np.concatenate([objs, evaluator.objectives(genes[len(objs) :])])
         (select,) = _generators(cfg.seed, (3,), np.array([gen]))
         keep, rank, crowd = _select_survivors(objs, cfg.population, refs, select)

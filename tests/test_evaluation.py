@@ -29,6 +29,7 @@ from fairsched.evaluation import (
     decode,
     exec_cost,
     exec_time,
+    gene_dtype,
     heft_alone,
     unfairness,
     validate_schedule,
@@ -456,6 +457,56 @@ def test_evaluator_rejects_bad_assignments(two_chain_set, pair_catalog):
     assert both.shape == (2, 3)
     assert tuple(both[0]) == ev.objectives([0, 0, 0, 0])
     assert ev.objectives(np.zeros((0, 4), dtype=int)).shape == (0, 3)
+
+
+def test_evaluator_refuses_indices_a_compact_cast_would_wrap(pair_catalog):
+    """Indices are checked as given, before any cast: 256 and -256 would
+    wrap to 0 in uint8, and the error names the value given."""
+    w = Workflow("w", [Task("a", "w", 1.0), Task("b", "w", 1.0)], [Edge("a", "b", 5.0)])
+    ws = WorkflowSet([w])
+    plan = cluster_none(ws)
+    ev = Evaluator(ws, pair_catalog, plan, order_interleave(plan, ws))
+    for bad, named in (([0, 256], 256), ([-256, 0], -256), (np.array([0, 2], dtype=np.uint8), 2)):
+        for check in (ev.objectives, ev.decode):
+            with pytest.raises(ValueError, match=f"resource index {named} out of range 0..1"):
+                check(bad)
+    for not_integers in (np.zeros(2, dtype=bool), np.zeros(2, dtype=np.float16), np.zeros((3, 2), dtype=bool)):
+        with pytest.raises(ValueError, match=f"resource indices must be integers, got {not_integers.dtype} values"):
+            ev.objectives(not_integers)
+    assert ev._check_genes(np.array([[1, 0]], dtype=np.uint64)).dtype == np.uint8
+    assert ev._check_genes(np.zeros((0, 2))).dtype == np.uint8  # an empty matrix of any type decodes to no rows
+
+
+@pytest.mark.parametrize("n_res", [1, 6, 16, 17, 256, 257])
+def test_genes_decode_alike_in_every_integer_type(n_res):
+    """`objectives` and `decode` give the same bytes for the same gene
+    values as int64, int32 and the compact `gene_dtype`, equal to the
+    scalar walk's. From 17 resources on a link index (source resource *
+    n_res + destination resource) exceeds 255, so a uint8 index would wrap;
+    from 257 on the compact dtype is uint16."""
+    rng = np.random.default_rng(n_res)
+    ws = ensure_valid(generate(GeneratorSpec(3, (5, 10), 10.0, 0.5, seed=n_res)))
+    cat = random_catalog(rng, n_res)
+    plan = make_plan(ws, cat, "none")
+    order = order_interleave(plan, ws)
+    baselines = compute_baselines(ws, cat)
+    ev, ref = Evaluator(ws, cat, plan, order, baselines), ScalarWalk(ws, cat, plan, order, baselines)
+    compact = gene_dtype(n_res)
+    assert compact == (np.uint8 if n_res <= 256 else np.uint16)
+    genes = rng.integers(0, n_res, size=(20, plan.n_clusters))
+    genes[0] = n_res - 1
+    links = genes[:, ev._edge_src_cl] * n_res + genes[:, ev._edge_dst_cl]
+    assert n_res < 17 or (links > 255).any()
+    want = np.array([ref.objectives(row) for row in genes]).tobytes()
+    for dtype in (np.int64, np.int32, compact):
+        typed = genes.astype(dtype)
+        assert ev._check_genes(typed).dtype == compact
+        assert ev.objectives(typed).tobytes() == want, dtype
+        for row in typed[:3]:
+            sched = ev.decode(row)
+            assert _hex(sched.objectives) == _hex(ref.objectives(row))
+            placed = {tid: (p.resource_id, p.start.hex(), p.finish.hex()) for tid, p in sched.placements.items()}
+            assert placed == {tid: (cat[r].id, s.hex(), f.hex()) for tid, (r, s, f) in ref.placements(row).items()}
 
 
 def _hex(values) -> list[str]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import itertools
 import warnings
 from dataclasses import replace
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from fairsched.clustering import cluster_none, make_plan, order_interleave
 from fairsched.draws import DrawStream
-from fairsched.evaluation import Evaluator
+from fairsched.evaluation import Evaluator, gene_dtype
+from fairsched.experiment import DatasetSpec, RunRecord, load_record
+from fairsched.generator import GeneratorSpec
 from fairsched.model import Edge, ResourceCatalog, Resource, Task, Workflow, WorkflowSet
 from fairsched.nsga3 import (
     Front,
@@ -36,6 +39,7 @@ from oracles import (
     niche_preserve_lists,
     normalize_per_objective,
     offspring_slots,
+    random_catalog,
     select_survivors_lists,
 )
 
@@ -650,14 +654,20 @@ def test_run_front_is_subset_of_exhaustive_pareto():
 
 
 class _CountingEvaluator:
+    """Keeps a copy of every gene matrix the run decodes."""
+
     def __init__(self, inner):
         self.inner = inner
         self.n_clusters = inner.n_clusters
         self.n_resources = inner.n_resources
-        self.rows: list[int] = []
+        self.calls: list[np.ndarray] = []
+
+    @property
+    def rows(self) -> list[int]:
+        return [len(genes) for genes in self.calls]
 
     def objectives(self, genes):
-        self.rows.append(len(genes))
+        self.calls.append(genes.copy())
         return self.inner.objectives(genes)
 
 
@@ -669,6 +679,28 @@ def test_run_evaluates_population_once_per_generation():
     run_with_evaluator(counting, OptimizerConfig(population=7, generations=3, seed=5))
     assert counting.rows == [7] * 4
     assert sum(counting.rows) == 7 * 4
+
+
+@pytest.mark.parametrize("n_res", [1, 6, 256, 257])
+def test_run_keeps_genes_compact_from_the_int64_draw_to_the_record(n_res, tmp_path):
+    """The initial population is the int64 `integers` draw value for value,
+    stored in `gene_dtype`; every later pool, the front and the front
+    loaded back from a record keep that dtype."""
+    ws, _, plan, order = _tiny_problem()
+    catalog = random_catalog(np.random.default_rng(n_res), n_res)
+    cfg = OptimizerConfig(population=9, generations=3, mutation_rate=0.3, seed=11)
+    counting = _CountingEvaluator(Evaluator(ws, catalog, plan, order))
+    front = run_with_evaluator(counting, cfg)
+    compact = gene_dtype(n_res)
+    drawn = _rng(cfg.seed, 0).integers(0, n_res, size=(cfg.population, plan.n_clusters))
+    assert drawn.dtype == np.int64 and np.array_equal(counting.calls[0], drawn)
+    assert [genes.dtype for genes in counting.calls] == [compact] * (cfg.generations + 1)
+    assert front.genes.dtype == compact
+    spec = DatasetSpec(name="tiny", generator=GeneratorSpec(2, (3, 5), 0.5, 0.5, seed=1))
+    RunRecord(spec, "none", 0, cfg, catalog, front).save(tmp_path / "rec.json")
+    loaded = load_record(tmp_path / "rec.json").front
+    assert loaded.genes.dtype == compact
+    assert loaded.genes.tobytes() == front.genes.tobytes()
 
 
 def test_run_front_internally_nondominated():
@@ -752,3 +784,25 @@ def test_front_csv_round_trip(tmp_path):
 def test_empty_front_objectives_array():
     assert Front().objectives.shape == (0, 3)
     assert len(Front()) == 0 and list(Front()) == []
+
+
+def _csv_writer_bytes(front: Front, path) -> bytes:
+    """The front CSV as `csv.writer` writes it, row by row."""
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(["makespan", "total_cost", "unfairness"] + [f"gene_{i}" for i in range(front.genes.shape[1])])
+        for objectives, genes in zip(front.objectives.tolist(), front.genes.tolist()):
+            out.writerow([repr(v) for v in objectives] + genes)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("n_genes", [0, 1, 1552])
+@pytest.mark.parametrize("n_rows", [0, 1, 4])
+def test_front_csv_is_csv_writer_bytes(n_genes, n_rows, tmp_path):
+    values = [5e-324, 0.1, 1 / 3, 1e16, 2.0, 1e22, 123456.789, 1.7976931348623157e308, 0.0, 3e-5, 1e-7, 7.0]
+    objectives = np.array(values[: 3 * n_rows]).reshape(n_rows, 3)
+    for dtype, limit in ((np.uint8, 2**8), (np.uint16, 2**16), (np.int64, 2**40)):
+        genes = np.arange(n_rows * n_genes).reshape(n_rows, n_genes) * 997 % limit
+        front = Front(genes.astype(dtype), objectives)
+        front.to_csv(tmp_path / "front.csv")
+        assert (tmp_path / "front.csv").read_bytes() == _csv_writer_bytes(front, tmp_path / "want.csv")
