@@ -20,7 +20,6 @@ iterates over unordered sets when producing output.
 
 from __future__ import annotations
 
-import json
 import logging
 import numbers
 import os
@@ -243,11 +242,9 @@ def load_config(path, *, labels=None, **overrides) -> ExperimentConfig:
     the command-line option that set it, or else by its field name."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = wio.read_json(path, ConfigError)
     except FileNotFoundError:
         raise ConfigError(f"config file {path} does not exist") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     given = {k: v for k, v in overrides.items() if v is not None}
     try:
         return _parsed({**doc, **given} if given and isinstance(doc, dict) else doc)
@@ -312,7 +309,7 @@ def _front_from_dict(doc, where: str, n_resources: int) -> Front:
             f"{where}: front has {len(doc['objectives'])} objective rows but {len(doc['genes'])} gene rows"
         )
     if not doc["genes"]:
-        return Front()
+        return Front(np.empty((0, 0), dtype=gene_dtype(n_resources)))
     objectives = _front_rows(doc["objectives"], "iuf")
     if objectives is None or objectives.shape[1] != 3 or not np.isfinite(objectives).all():
         raise wio.FormatError(f"{where}: front objectives must be rows of 3 numbers, all finite")
@@ -329,10 +326,7 @@ _RECORD_FIELDS = ("dataset", "clusterer", "repetition", "seed", "optimizer", "re
 
 def load_record(path) -> RunRecord:
     """A stored run record; a bad field raises FormatError naming the file."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise wio.FormatError(f"{path}: invalid JSON: {exc}") from exc
+    doc = wio.read_json(path)
     if not isinstance(doc, dict):
         raise wio.FormatError(f"{path}: a run record must be a JSON object")
     missing = [k for k in _RECORD_FIELDS if k not in doc]

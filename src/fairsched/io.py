@@ -10,7 +10,8 @@ Two on-disk formats are supported:
   reads.
 
 Schema problems raise FormatError naming the offending field or element.
-Every JSON file the package writes goes through `write_json`.
+Every JSON file the package reads goes through `read_json`, and every one
+it writes through `write_json`.
 """
 
 from __future__ import annotations
@@ -70,99 +71,72 @@ def write_json(path, doc) -> None:
     newline.
 
     Before Python 3.13, json encodes indented text in pure Python, one
-    generator step per value; `_indented` builds the same text a whole list
-    at a time. From 3.13 on, json's C encoder takes `indent` and is the
-    faster of the two, so it is used there. `_indented` goes when
-    `requires-python` reaches 3.13.
+    generator step per value. `_indented` formats values of exact type str,
+    int, finite float, list and str-keyed dict itself, and the result
+    tree's two bulk shapes a whole list at a time; json encodes everything
+    else, and its text is indented deeper by replacing its line breaks,
+    which is exact because json escapes every line break inside a string.
+    From 3.13 on, json's C encoder takes `indent` and is the faster of the
+    two, so it is used there. `_indented` goes when `requires-python`
+    reaches 3.13.
     """
     text = json.dumps(doc, indent=2) if sys.version_info >= (3, 13) else _indented(doc)
     Path(path).write_text(text + "\n")
+
+
+def read_json(path, error: type[Exception] = FormatError):
+    """The document in the JSON file at `path`. Text that is not JSON, or
+    bytes that do not decode, raise `error` naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from exc
 
 
 _INDENT = "  "
 _NUMBERS = frozenset((int, float))
 
 
-def _float(x) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+def _indented(x, level: int = 0, markers: set | None = None) -> str:
+    """The text of `json.dumps(x, indent=2)` nested `level` indents deep, with
+    json's errors: TypeError for a value or key it cannot encode, ValueError
+    for a container that holds itself.
 
-
-def _scalar(x) -> str:
-    # json's order of checks: a bool is an int, and subclasses of str, int
-    # and float print as those
-    if isinstance(x, str):
+    Dispatch is on the exact type. Strings, ints and finite floats are
+    formatted here; a non-empty list or a dict with str keys is recursed
+    into, with rows of numbers (`_matrix`) and flat dicts with equal keys
+    (`_table`) formatted a list at a time. json encodes any other value
+    (bools, None, nan and the infinities, subclasses, tuples, other keys,
+    empty containers, what it refuses) at level 0, and each of its line
+    breaks gets the deeper indent. That is its text at this level, because
+    json escapes every line break inside a string, so each raw one comes
+    right before an indent."""
+    kind = type(x)
+    if kind is str:
         return encode_basestring_ascii(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
+    if kind is int:
         return int.__repr__(x)
-    if isinstance(x, float):
-        return _float(x)
-    raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
-
-
-def _key(key) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, (int, float)) or key is None:  # a bool is an int
-        return '"' + _scalar(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _indented(doc, level: int = 0, markers: set | None = None) -> str:
-    """The text of `json.dumps(doc, indent=2)`, with json's errors: TypeError
-    for a value or key it cannot encode, ValueError for a container that
-    holds itself."""
-    if not isinstance(doc, (list, tuple, dict)):
-        return _scalar(doc)
-    if not doc:
-        return "[]" if isinstance(doc, (list, tuple)) else "{}"
+    if kind is float and math.isfinite(x):
+        return float.__repr__(x)
+    if not ((kind is list and x) or (kind is dict and set(map(type, x)) == {str})):
+        return json.dumps(x, indent=2).replace("\n", "\n" + _INDENT * level)
     inner = "\n" + _INDENT * (level + 1)
-    if isinstance(doc, dict):
-        opening, closing, body = "{", "}", None
+    closing = "\n" + _INDENT * level + ("]" if kind is list else "}")
+    if kind is list:
+        kinds = set(map(type, x))
+        body = _matrix(x, inner) if kinds == {list} else _table(x, inner) if kinds == {dict} else None
+        if body is not None:
+            return "[" + inner + body + closing
+    markers = set() if markers is None else markers
+    if id(x) in markers:
+        raise ValueError("Circular reference detected")
+    markers.add(id(x))
+    if kind is dict:
+        parts = [encode_basestring_ascii(k) + ": " + _indented(v, level + 1, markers) for k, v in x.items()]
     else:
-        opening, closing, body = "[", "]", _flat(doc, inner)
-    if body is None:
-        markers = set() if markers is None else markers
-        if id(doc) in markers:
-            raise ValueError("Circular reference detected")
-        markers.add(id(doc))
-        if isinstance(doc, dict):
-            parts = [_key(k) + ": " + _indented(v, level + 1, markers) for k, v in doc.items()]
-        else:
-            parts = [_indented(v, level + 1, markers) for v in doc]
-        markers.remove(id(doc))
-        body = ("," + inner).join(parts)
-    return opening + inner + body + "\n" + _INDENT * level + closing
-
-
-def _flat(items, inner: str) -> str | None:
-    """The joined items of a list of numbers, of strings, of rows of numbers
-    or of flat dicts with equal keys, each checked by exact type; None for
-    any other list. Numbers go through one `%r` format for the whole list:
-    `%r` of an int or a float is json's text except for nan and the
-    infinities, whose reprs alone contain an "n"."""
-    types = set(map(type, items))
-    if types <= _NUMBERS:
-        text = ("," + inner).join(["%r"] * len(items)) % tuple(items)
-        return text if "n" not in text else None
-    if types == {str}:
-        return ("," + inner).join(map(encode_basestring_ascii, items))
-    if types == {list}:
-        return _matrix(items, inner)
-    if types == {dict}:
-        return _table(items, inner)
-    return None
+        parts = [_indented(v, level + 1, markers) for v in x]
+    markers.remove(id(x))
+    return ("[" if kind is list else "{") + inner + ("," + inner).join(parts) + closing
 
 
 def _matrix(rows: list, inner: str) -> str | None:
@@ -261,11 +235,7 @@ def save_native(ws: WorkflowSet, path) -> None:
 
 def load_native(path) -> WorkflowSet:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    return workflow_set_from_dict(doc, where=str(path))
+    return workflow_set_from_dict(read_json(path), where=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +283,7 @@ def save_resources(catalog: ResourceCatalog, path) -> None:
 
 def load_resources(path) -> ResourceCatalog:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    return resources_from_dict(doc, where=str(path))
+    return resources_from_dict(read_json(path), where=str(path))
 
 
 def default_catalog() -> ResourceCatalog:

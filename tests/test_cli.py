@@ -470,6 +470,25 @@ def test_eval_names_record_with_invalid_json(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_undecodable_config_and_record_are_named(tmp_path, capsys):
+    """Bytes that do not decode name their file, whichever verb reads them."""
+    out_dir = tmp_path / "results"
+    main(["run", "--config", str(write_config(tmp_path / "config.json", out_dir, repetitions=2)), "--quiet"])
+    config = tmp_path / "bad.json"
+    record = out_dir / "runs" / "t" / "none" / "rep01.json"
+    for path in (config, record):
+        path.write_bytes(b"\xff{}")
+    for argv, path in (
+        (["run", "--config", str(config)], config),
+        (["replay", "--record", str(record)], record),
+        (["eval", "--runs", str(out_dir / "runs"), "--out", str(tmp_path / "o")], record),
+    ):
+        assert main([*argv, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid JSON: ")
+        assert "can't decode byte 0xff in position 0" in err
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_eval_names_record_with_non_finite_objective(tmp_path, capsys, value):
     out_dir = tmp_path / "results"

@@ -7,6 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fairsched import experiment
@@ -22,6 +23,7 @@ from fairsched.experiment import (
     run_experiment,
     score_stored_runs,
 )
+from fairsched.evaluation import gene_dtype
 from fairsched.generator import GeneratorSpec, generate, stable_seed
 from fairsched.io import FormatError, default_catalog, load_native, load_resources, save_native
 from fairsched.model import validate
@@ -451,7 +453,7 @@ def test_record_round_trip_keeps_front_matrices(tmp_path, searched):
     ds = DatasetSpec(name="dsA", generator=tiny_gen())
     catalog = default_catalog()
     opt = OptimizerConfig(population=6, generations=2, divisions=4, seed=5)
-    front = Front()
+    front = Front(np.empty((0, 0), dtype=gene_dtype(len(catalog))))
     if searched:
         ws = generate(ds.generator)
         plan = make_plan(ws, catalog, "dfs-cst")
@@ -459,8 +461,9 @@ def test_record_round_trip_keeps_front_matrices(tmp_path, searched):
         assert len(front) >= 1
     RunRecord(ds, "dfs-cst", 0, opt, catalog, front).save(tmp_path / "rec.json")
     loaded = load_record(tmp_path / "rec.json").front
+    assert loaded.genes.dtype == gene_dtype(len(catalog))
     for a, b in ((front.genes, loaded.genes), (front.objectives, loaded.objectives)):
-        assert (a.shape, a.dtype.kind, a.tobytes()) == (b.shape, b.dtype.kind, b.tobytes())
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
 
 
 def test_replay_missing_dataset_file_fails_clearly(tmp_path):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import enum
 import json
 import math
+import re
+from collections import OrderedDict, namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairsched.io
+from fairsched.clustering import make_plan, order_interleave
+from fairsched.experiment import DatasetSpec, RunRecord
 from fairsched.generator import GeneratorSpec, generate
 from fairsched.io import (
     FormatError,
@@ -26,6 +31,7 @@ from fairsched.io import (
 )
 from fairsched.io import _indented
 from fairsched.model import WorkflowSet
+from fairsched.nsga3 import OptimizerConfig, run
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -109,6 +115,13 @@ class _Text(str):
     pass
 
 
+class _Map(dict):
+    pass
+
+
+_Pair = namedtuple("_Pair", "a b")
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -130,6 +143,14 @@ class _Text(str):
         {"n": [1, math.nan], "i": [[math.inf, 1]], "t": [{"x": -math.inf}, {"x": 1.0}]},
         {1.5: 1, True: 2, None: 3, -0.0: 4},
         ("a", (1, 2), [()]),
+        OrderedDict([(1, "x")]),
+        [_Map(a=1, b=[2.0, {"c": None}])],
+        {"p": _Pair(1, [2, {"q": 3.5}])},
+        {_Text("k"): 1, "l": [2]},
+        [[1, 2], [3]],
+        [[], []],
+        [{"a": 1.0, "b": "x"}, {"a": math.nan, "b": "y"}],
+        {"a": {"b": {}}},
     ],
 )
 def test_indented_text_of_subclasses_and_near_misses(doc):
@@ -147,6 +168,7 @@ def test_indented_text_of_subclasses_and_near_misses(doc):
         [{"a": 1.0}, {"a": Path("x")}],
         {(1, 2): 3},
         {"a": [1, {2: {3}}]},
+        OrderedDict([((1, 2), 3)]),
     ],
 )
 def test_write_json_refuses_what_json_refuses(tmp_path, doc):
@@ -166,6 +188,27 @@ def test_write_json_refuses_a_container_that_holds_itself(tmp_path):
         _indented(looped)
     with pytest.raises(ValueError, match="Circular reference detected"):
         write_json(tmp_path / "x.json", looped)
+
+
+def test_result_tree_documents_never_reach_json(monkeypatch):
+    """A run record with a front, a generated native set and a catalog hold
+    only exact types and bulk shapes, so `_indented` writes them without
+    json's pure-Python encoder."""
+    spec = GeneratorSpec(3, (20, 30), 1.0, 0.5, seed=11)
+    ws = generate(spec)
+    catalog = default_catalog()
+    plan = make_plan(ws, catalog, "dfs-cst")
+    opt = OptimizerConfig(population=6, generations=2, divisions=4, seed=3)
+    front = run(ws, catalog, plan, order_interleave(plan, ws), opt)
+    assert len(front) >= 1
+    record = RunRecord(DatasetSpec(name="d", generator=spec), "dfs-cst", 0, opt, catalog, front)
+    docs = [record.to_dict(), workflow_set_to_dict(ws), resources_to_dict(catalog)]
+    dumps, calls = json.dumps, []
+    monkeypatch.setattr(fairsched.io.json, "dumps", lambda *args, **kwargs: calls.append(args) or dumps(*args, **kwargs))
+    texts = list(map(_indented, docs))
+    monkeypatch.undo()
+    assert calls == []
+    assert texts == [json.dumps(doc, indent=2) for doc in docs]
 
 
 def test_saved_native_set_and_catalog_are_json_dumps_text(tmp_path):
@@ -234,6 +277,14 @@ def test_native_invalid_json(tmp_path):
     p.write_text("{nope")
     with pytest.raises(FormatError, match="invalid JSON"):
         load_native(p)
+
+
+@pytest.mark.parametrize("load", [load_native, load_resources])
+def test_undecodable_file_is_named(tmp_path, load):
+    p = tmp_path / "bad.json"
+    p.write_bytes(b"\xff{}")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: invalid JSON: .*can't decode byte 0xff"):
+        load(p)
 
 
 def test_resources_round_trip(tmp_path):
