@@ -19,7 +19,7 @@ from fairsched import ExperimentConfig, replay, run_experiment
 # not forked (macOS, and Linux from Python 3.14 on) each one imports this
 # script again, so everything it should do once sits under this guard.
 if __name__ == "__main__":
-    # the harness logs each run as it happens; show that
+    # the harness logs a line per run once its dataset is done; show them
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
 
     workdir = Path(tempfile.mkdtemp(prefix="fairsched-demo-"))

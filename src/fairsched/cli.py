@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.add_argument("--seed", type=int, default=0, help="seed")
     p_gen.add_argument("--table2", action="store_true", help="emit the 16-row benchmark design")
-    p_gen.add_argument("--name", default="dataset", help="dataset name for a single spec")
+    p_gen.add_argument("--name", help="dataset name for a single spec (default: dataset)")
     p_gen.add_argument("--workflows", type=int, help="number of workflows")
     p_gen.add_argument("--tasks", type=int, nargs=2, metavar=("LO", "HI"), help="task count range")
     p_gen.add_argument("--ccr", type=float, help="communication-to-computation ratio")
@@ -66,17 +66,19 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    single = {"--name": args.name, "--workflows": args.workflows, "--tasks": args.tasks, "--ccr": args.ccr, "--parallelism": args.parallelism}
     if args.table2:
+        given = [n for n, v in single.items() if v is not None]
+        if given:
+            raise experiment.ConfigError("gen --table2 writes the fixed design and takes no " + ", ".join(given))
         specs = table2_specs(args.seed)
     else:
-        missing = [n for n, v in (("--workflows", args.workflows), ("--tasks", args.tasks), ("--ccr", args.ccr), ("--parallelism", args.parallelism)) if v is None]
+        missing = [n for n, v in single.items() if v is None and n != "--name"]
         if missing:
             raise experiment.ConfigError("gen needs --table2 or all of " + ", ".join(missing))
         specs = [
             (
-                args.name,
+                "dataset" if args.name is None else args.name,
                 GeneratorSpec(
                     n_workflows=args.workflows,
                     task_count_range=(args.tasks[0], args.tasks[1]),
@@ -86,6 +88,8 @@ def _cmd_gen(args) -> int:
                 ),
             )
         ]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for name, spec in specs:
         save_native(generate(spec), out / f"{name}.json")
         if not args.quiet:

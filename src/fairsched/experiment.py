@@ -10,7 +10,8 @@ against the union reference of all its fronts and written as CSV reports.
 
 Datasets run in worker processes, one dataset per task: a worker sets the
 dataset up, runs all its clusterers and repetitions and writes their files,
-and the parent scores the returned fronts in config order.
+and the parent logs the returned progress lines and scores the returned
+fronts in config order.
 
 Determinism: two invocations with the same config produce bit-identical
 result trees, whatever the number of workers. For that reason wall-clock
@@ -64,7 +65,16 @@ def _real(value, name: str) -> float:
         raise ConfigError(f"{name} is out of the float range") from None
 
 
+def _refuse_unknown(doc: dict, known, where: str) -> None:
+    """A misspelt field would otherwise be ignored, and its default used."""
+    unknown = sorted(map(str, set(doc) - set(known)))
+    if unknown:
+        raise ConfigError(f"{where}unknown field(s) {', '.join(unknown)}")
+
+
 _OPTIMIZER_DEFAULTS = {f.name: f.default for f in fields(OptimizerConfig)}
+_CONFIG_FIELDS = ("seed", "repetitions", "output_dir", "clusterers", "optimizer", "resources", "normalize_igd", "datasets")
+_GENERATOR_FIELDS = ("name", *(f.name for f in fields(GeneratorSpec)))
 
 
 def _optimizer_from_dict(doc) -> OptimizerConfig:
@@ -72,9 +82,7 @@ def _optimizer_from_dict(doc) -> OptimizerConfig:
     OptimizerConfig defaults, given ones must have the type of their default."""
     if not isinstance(doc, dict):
         raise ConfigError(f"optimizer must be a JSON object, got {doc!r}")
-    unknown = sorted(set(doc) - set(_OPTIMIZER_DEFAULTS))
-    if unknown:
-        raise ConfigError(f"optimizer: unknown field(s) {', '.join(unknown)}")
+    _refuse_unknown(doc, _OPTIMIZER_DEFAULTS, "optimizer: ")
     parse = {int: _integer, float: _real}
     return OptimizerConfig(**{k: parse[type(v)](doc.get(k, v), f"optimizer.{k}") for k, v in _OPTIMIZER_DEFAULTS.items()})
 
@@ -113,10 +121,12 @@ class DatasetSpec:
         if not name or not isinstance(name, str):
             raise ConfigError(f"dataset entry needs a name string, got {doc!r}")
         if "path" in doc:
+            _refuse_unknown(doc, ("name", "path"), f"dataset {name!r} with a path: ")
             if not isinstance(doc["path"], str):
                 raise ConfigError(f"dataset {name!r}: path must be a string, got {doc['path']!r}")
             return cls(name=name, path=doc["path"])
         where = f"dataset {name!r}"
+        _refuse_unknown(doc, _GENERATOR_FIELDS, f"{where}: ")
         try:
             lo, hi = doc["task_count_range"]
             spec = GeneratorSpec(
@@ -182,6 +192,7 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
+        _refuse_unknown(doc, _CONFIG_FIELDS, "")
         seed = _integer(doc.get("seed", 0), "seed")
         optimizer = _optimizer_from_dict(doc.get("optimizer", {}))
         clusterers = doc.get("clusterers", ["dfs-cst", "p2p", "mdnc"])
@@ -389,35 +400,6 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _log_setup() -> tuple[int, int, logging.Formatter | None] | None:
-    """How this process shows `fairsched` records: the package logger's
-    effective level, and the level and formatter of the first handler other
-    than a `NullHandler` that its records reach; None when there is none."""
-    logger = node = logging.getLogger("fairsched")
-    while node is not None:
-        for handler in node.handlers:
-            if not isinstance(handler, logging.NullHandler):
-                return logger.getEffectiveLevel(), handler.level, handler.formatter
-        node = node.parent if node.propagate else None
-    return None
-
-
-def _init_worker(setup: tuple[int, int, logging.Formatter | None] | None) -> None:
-    """A worker that inherited no logging handler (spawn and forkserver do
-    not fork the caller) shows `fairsched` records on stderr at the
-    caller's level and in its format; a forked worker keeps the handlers it
-    inherited, so every record is shown once either way."""
-    logger = logging.getLogger("fairsched")
-    if setup is None or logger.hasHandlers():
-        return
-    level, handler_level, formatter = setup
-    handler = logging.StreamHandler()
-    handler.setLevel(handler_level)
-    handler.setFormatter(formatter)
-    logger.addHandler(handler)
-    logger.setLevel(level)
-
-
 # The names the dataset loop looks up in this module at call time, as
 # imported; while one is replaced, run_experiment keeps datasets in-process.
 _AS_IMPORTED = {
@@ -426,14 +408,18 @@ _AS_IMPORTED = {
 }
 
 
-def _run_dataset(cfg: ExperimentConfig, catalog: ResourceCatalog, out: Path, ds: DatasetSpec) -> dict[str, list[np.ndarray]]:
+def _run_dataset(
+    cfg: ExperimentConfig, catalog: ResourceCatalog, out: Path, ds: DatasetSpec
+) -> tuple[dict[str, list[np.ndarray]], list[str]]:
     """Every run of one dataset: set it up, run each clusterer's repetitions,
-    write their records and front CSVs; return the fronts by clusterer."""
+    write their records and front CSVs; return the fronts by clusterer and
+    one progress line per run, for the caller to log."""
     ws = ensure_valid(_load_dataset(ds))
     if ds.generator is not None:
         wio.save_native(ws, out / "datasets" / f"{ds.name}.json")
     baselines = compute_baselines(ws, catalog)
     fronts_by_algorithm: dict[str, list[np.ndarray]] = {}
+    lines: list[str] = []
     for clusterer in cfg.clusterers:
         plan = make_plan(ws, catalog, clusterer)
         order = order_interleave(plan, ws)
@@ -449,12 +435,9 @@ def _run_dataset(cfg: ExperimentConfig, catalog: ResourceCatalog, out: Path, ds:
             RunRecord(ds, clusterer, rep, opt, catalog, front).save(run_dir / f"rep{rep:02d}.json")
             front.to_csv(run_dir / f"rep{rep:02d}_front.csv")
             fronts.append(front.objectives)
-            log.info(
-                "%s / %s / rep %d: %d front points, %.2fs",
-                ds.name, clusterer, rep, len(front), elapsed,
-            )
+            lines.append(f"{ds.name} / {clusterer} / rep {rep}: {len(front)} front points, {elapsed:.2f}s")
         fronts_by_algorithm[clusterer] = fronts
-    return fronts_by_algorithm
+    return fronts_by_algorithm, lines
 
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
@@ -475,10 +458,10 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     which ones differs with the worker count. Worker processes are
     started the platform's default way; a
     script that calls this must guard its top level with
-    `if __name__ == "__main__":` where that way is not fork. A worker that
-    does not inherit the caller's logging handlers logs the per-run
-    progress lines to stderr at the caller's `fairsched` level and in the
-    format of its first handler.
+    `if __name__ == "__main__":` where that way is not fork. Workers do
+    not log: this process logs each dataset's per-run progress lines at
+    INFO once that dataset and every one before it have finished, so they
+    come in config order for any worker count.
 
     Returns the output directory. Layout:
 
@@ -504,21 +487,24 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     wio.write_json(out / "config.json", cfg.to_dict())
     wio.save_resources(catalog, out / "resources.json")
 
-    run_one = partial(_run_dataset, cfg, catalog, out)
-    if workers == 1:
-        results = list(map(run_one, cfg.datasets))
-    else:
+    pool = None
+    if workers > 1:
         # imported here: multiprocessing adds about 0.9 MB to every process
         # that imports it, and most users of this module never start a pool
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(_log_setup(),))
-        try:
-            # results in config order: the first failure in config order is raised
-            results = list(pool.map(run_one, cfg.datasets))
-        finally:
+        pool = ProcessPoolExecutor(workers)
+    fronts_by_dataset = {}
+    try:
+        # results in config order: the first failure in config order is raised
+        results = (pool.map if pool else map)(partial(_run_dataset, cfg, catalog, out), cfg.datasets)
+        for ds, (fronts, lines) in zip(cfg.datasets, results):
+            for line in lines:
+                log.info(line)
+            fronts_by_dataset[ds.name] = fronts
+    finally:
+        if pool:
             pool.shutdown(cancel_futures=True)
-    fronts_by_dataset = {ds.name: fronts for ds, fronts in zip(cfg.datasets, results)}
     _write_metrics(fronts_by_dataset, cfg.normalize_igd, out / "metrics")
     return out
 

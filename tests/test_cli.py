@@ -75,6 +75,21 @@ def test_gen_requires_spec_or_table2(tmp_path, capsys):
     assert "error:" in err and "--workflows" in err
 
 
+@pytest.mark.parametrize(
+    "options, named",
+    [
+        (["--name", "foo"], "--name"),
+        (["--workflows", "3", "--tasks", "3", "5"], "--workflows, --tasks"),
+        (["--ccr", "0.5", "--parallelism", "0.5"], "--ccr, --parallelism"),
+    ],
+)
+def test_gen_table2_refuses_single_spec_options(tmp_path, capsys, options, named):
+    assert main(["gen", "--out", str(tmp_path / "x"), "--table2", *options]) == 2
+    err = capsys.readouterr().err
+    assert f"takes no {named}" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_eval_replay_pipeline(tmp_path, capsys):
     out_dir = tmp_path / "results"
     cfg = write_config(tmp_path / "config.json", out_dir)
@@ -337,6 +352,16 @@ def test_run_non_finite_inputs_exit_2(tmp_path, capsys):
         ({"output_dir": None}, "output_dir must be a non-empty string, got None"),
         ({"output_dir": 3}, "output_dir must be a non-empty string, got 3"),
         ({"output_dir": ""}, "output_dir must be a non-empty string, got ''"),
+        ({"repetition": 3}, "config.json: unknown field(s) repetition"),
+        ({"clusterer": ["p2p"], "sed": 4}, "config.json: unknown field(s) clusterer, sed"),
+        (
+            {"datasets": [{"name": "t", "n_workflows": 2, "task_count_range": [3, 4], "ccr": 0.5, "parallelism_degree": 0.5, "sed": 4}]},
+            "dataset 't': unknown field(s) sed",
+        ),
+        (
+            {"datasets": [{"name": "p", "path": "x.json", "n_workflows": 2, "ccr": 0.5}]},
+            "dataset 'p' with a path: unknown field(s) ccr, n_workflows",
+        ),
     ],
 )
 def test_run_bad_config_shapes_exit_2(tmp_path, capsys, overrides, named):

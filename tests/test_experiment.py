@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -252,36 +253,55 @@ def test_workers_not_started_by_fork_write_the_same_tree(tmp_path, monkeypatch, 
 
 
 _LOGGING_SCRIPT = """
-import logging, multiprocessing, sys
+import logging, multiprocessing, sys, time
 from fairsched import experiment
 
 if __name__ == "__main__":
-    multiprocessing.set_start_method(sys.argv[1])
-    logging.basicConfig(level=sys.argv[2], format="%(levelname)s %(name)s| %(message)s")
-    experiment._available_cpus = lambda: 2  # a pool even on one CPU
+    method, level, cpus, formatter = sys.argv[1:]
+    multiprocessing.set_start_method(method)
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s| %(message)s")
+    if formatter == "unpicklable":
+        logging.getLogger().handlers[0].formatter.converter = lambda secs: time.gmtime(secs)
+    experiment._available_cpus = lambda: int(cpus)  # 2: a pool even on one CPU
     experiment.run_experiment(experiment.load_config("config.json"))
 """
 
 
 @pytest.mark.parametrize(
-    "method, level", [("fork", "INFO"), ("spawn", "INFO"), ("forkserver", "INFO"), ("spawn", "WARNING")]
+    "method, level, cpus, formatter",
+    [
+        pytest.param("fork", "INFO", 1, "plain", id="one-worker"),
+        pytest.param("fork", "INFO", 2, "plain", id="fork-INFO"),
+        pytest.param("spawn", "INFO", 2, "plain", id="spawn-INFO"),
+        pytest.param("forkserver", "INFO", 2, "plain", id="forkserver-INFO"),
+        pytest.param("spawn", "WARNING", 2, "plain", id="spawn-WARNING"),
+        pytest.param("spawn", "INFO", 2, "unpicklable", id="spawn-INFO-unpicklable-formatter"),
+    ],
 )
-def test_worker_progress_lines_appear_once(tmp_path, method, level):
-    """Two datasets in two workers: every per-run progress line is shown
-    once, in the caller's format, however the workers were started; at the
-    caller's WARNING level none is."""
+def test_worker_progress_lines_appear_once(tmp_path, method, level, cpus, formatter):
+    """A slow dataset before a fast one: every per-run progress line is
+    shown once, in the caller's format and in config order, for one worker
+    or two however they were started, even when the caller's formatter
+    cannot be pickled; at the caller's WARNING level none is."""
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method on this platform")
-    doc = tiny_config(tmp_path, output_dir="results", clusterers=("none",)).to_dict()
+    datasets = (
+        DatasetSpec(name="big", generator=replace(tiny_gen(seed=7, n_workflows=100), task_count_range=(50, 70))),
+        DatasetSpec(name="small", generator=tiny_gen(seed=8, n_workflows=1)),
+    )
+    doc = tiny_config(tmp_path, datasets=datasets, output_dir="results", clusterers=("none",)).to_dict()
     (tmp_path / "config.json").write_text(json.dumps(doc))
     (tmp_path / "start.py").write_text(_LOGGING_SCRIPT)
     proc = subprocess.run(
-        [sys.executable, "start.py", method, level], cwd=tmp_path, capture_output=True, text=True, timeout=120
+        [sys.executable, "start.py", method, level, str(cpus), formatter],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    shown = [line for line in proc.stderr.splitlines() if line.startswith("INFO fairsched.experiment| ")]
-    expected = [] if level == "WARNING" else [f"{ds} / none / rep {rep}" for ds in ("dsA", "dsB") for rep in (0, 1)]
-    assert sorted(line.split("| ")[1].split(":")[0] for line in shown) == expected, proc.stderr
+    shown = [line for line in proc.stderr.splitlines() if " / none / rep " in line]
+    expected = [] if level == "WARNING" else [f"{ds} / none / rep {rep}" for ds in ("big", "small") for rep in (0, 1)]
+    assert [line.split(":")[0] for line in shown] == [f"INFO fairsched.experiment| {e}" for e in expected], proc.stderr
+    for line in shown:
+        assert re.fullmatch(r"INFO fairsched\.experiment\| \w+ / none / rep \d: \d+ front points, \d+\.\d\ds", line), line
 
 
 def test_worker_count_is_capped_by_cpus_and_datasets(tmp_path, monkeypatch):
