@@ -88,6 +88,8 @@ def _cmd_gen(args) -> int:
                 ),
             )
         ]
+    for _, spec in specs:
+        spec.validate()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, spec in specs:

@@ -350,6 +350,7 @@ def load_record(path) -> RunRecord:
     if doc["clusterer"] not in CLUSTERERS:
         raise wio.FormatError(f"{path}: unknown clusterer {doc['clusterer']!r}; choose from {sorted(CLUSTERERS)}")
     try:
+        _refuse_unknown(doc, _RECORD_FIELDS, "")
         dataset = DatasetSpec.from_dict(doc["dataset"])
         dataset.validate()
         optimizer = _optimizer_from_dict(doc["optimizer"])

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-import xml.etree.ElementTree as ET
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -330,6 +329,10 @@ def load_dax(path, id_prefix: str = "") -> Workflow:
     job id, which keeps ids unique when several DAX files are combined into
     one workflow set.
     """
+    # imported here: ElementTree adds about 0.5 MB to every process that
+    # imports it, and only DAX reading uses it
+    import xml.etree.ElementTree as ET
+
     path = Path(path)
     try:
         tree = ET.parse(path)

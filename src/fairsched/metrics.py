@@ -1,10 +1,11 @@
 """Front quality metrics: IGD, hypervolume, and relative deviation.
 
 Comparisons for one dataset pool every front from every algorithm and
-repetition into a union reference front (nondominated filter of the union);
-its per-objective min/max provide the normalization bounds. IGD of a front
-is the mean Euclidean distance from each reference point to its nearest
-front point (smaller is better). Hypervolume is computed exactly in three
+repetition into a union reference front, the nondominated filter of the
+union (a staircase sweep: O(n log n) comparisons and O(n) memory); its
+per-objective min/max provide the normalization bounds. IGD of a front is
+the mean Euclidean distance from each reference point to its nearest front
+point (smaller is better). Hypervolume is computed exactly in three
 dimensions against reference point (1.1, 1.1, 1.1) after normalization
 (larger is better). RDI rescales a group of values against the best among
 them: (value - best) / best, so the best scores 0, IGD deviations are >= 0
@@ -15,11 +16,10 @@ from __future__ import annotations
 
 import csv
 import logging
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-
-from .nsga3 import nondominated_sort
 
 log = logging.getLogger(__name__)
 
@@ -28,14 +28,40 @@ HV_REFERENCE = (1.1, 1.1, 1.1)
 
 def pareto_filter(points: np.ndarray) -> np.ndarray:
     """Unique nondominated points (minimization), sorted lexicographically.
-    Rows equal up to the sign of a zero are one point; every zero comes out
-    as +0.0."""
+    Input rows are (x, y, z); any other shape raises ValueError. Rows equal
+    up to the sign of a zero are one point; every zero comes out as +0.0.
+    Rows holding a NaN dominate nothing and are all kept.
+
+    After the sort and the dropping of repeats, only an earlier row can
+    dominate a later one, and it does so exactly when some earlier kept row
+    is <= on both y and z. A sweep answers that test with one bisection into
+    the staircase of the kept (y, z) pairs that no other kept pair is <= on
+    both, y ascending and z descending (Kung, Luccio & Preparata 1975). It
+    takes O(n log n) comparisons, plus the list moves of each insertion, and
+    O(n) memory, where an n x n dominance matrix takes O(n^2) of both.
+    """
     pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        return pts.reshape(0, pts.shape[1] if pts.ndim == 2 else 0)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"pareto_filter needs rows of 3 objectives, got shape {pts.shape}")
+    if len(pts) == 0:
+        return pts
     pts = pts[np.lexsort(pts.T[::-1])]  # first column is the primary key
     pts = pts[np.append(True, (pts[1:] != pts[:-1]).any(axis=1))] + 0.0
-    return pts[nondominated_sort(pts, stop=1)[0]]
+    keep = np.isnan(pts).any(axis=1)  # set aside: a NaN compares false both ways
+    ys: list[float] = []  # the staircase: ys ascending, zs descending
+    zs: list[float] = []
+    for i, (y, z) in zip(np.flatnonzero(~keep).tolist(), pts[~keep, 1:].tolist()):
+        below = bisect_right(ys, y)
+        if below and zs[below - 1] <= z:  # the lowest z of the stairs with y <= this y
+            continue
+        # the new stair replaces those it is <= on both: y from its own on, z down to its own
+        first = last = bisect_left(ys, y)
+        while last < len(zs) and zs[last] >= z:
+            last += 1
+        ys[first:last] = [y]
+        zs[first:last] = [z]
+        keep[i] = True
+    return pts[keep]
 
 
 def union_reference(fronts) -> np.ndarray:

@@ -75,6 +75,14 @@ def test_gen_requires_spec_or_table2(tmp_path, capsys):
     assert "error:" in err and "--workflows" in err
 
 
+def test_gen_validates_spec_before_creating_out(tmp_path, capsys):
+    out = tmp_path / "gbad"
+    argv = ["gen", "--out", str(out), "--workflows", "0", "--tasks", "3", "5", "--ccr", "0.5", "--parallelism", "0.5"]
+    assert main(argv) == 2
+    assert "n_workflows must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "options, named",
     [
@@ -418,6 +426,7 @@ def _set_front(objectives, genes):
         (_drop("clusterer"), "run record lacks field(s) clusterer"),
         (_drop("front"), "run record lacks field(s) front"),
         (lambda doc: [doc], "a run record must be a JSON object"),
+        (lambda doc: {**doc, "sed": 4}, "rep00.json: unknown field(s) sed"),
         (lambda doc: {**doc, "clusterer": ["none"]}, "clusterer must be a string"),
         (lambda doc: {**doc, "repetition": "0"}, "repetition must be an integer"),
         (lambda doc: {**doc, "front": []}, "front must be an object with 'objectives' and 'genes' lists"),
@@ -543,6 +552,17 @@ def test_eval_names_run_whose_igd_overflows(tmp_path, capsys, raw):
     err = capsys.readouterr().err
     assert "error: dataset t, clusterer none, repetition 1: " in err
     assert "overflows float" in err and "Traceback" not in err
+
+
+def test_eval_names_record_with_unknown_field(tmp_path, capsys):
+    out_dir = tmp_path / "results"
+    main(["run", "--config", str(write_config(tmp_path / "config.json", out_dir, repetitions=2)), "--quiet"])
+    bad = out_dir / "runs" / "t" / "none" / "rep01.json"
+    bad.write_text(json.dumps({**json.loads(bad.read_text()), "sed": 4, "Seed": 1}))
+    assert main(["eval", "--runs", str(out_dir / "runs"), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: unknown field(s) Seed, sed" in err
+    assert "Traceback" not in err
 
 
 def test_eval_names_record_with_empty_front(tmp_path, capsys):

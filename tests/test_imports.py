@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fairsched
@@ -37,3 +40,12 @@ def test_every_top_level_import_is_used():
     assert modules
     unused = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_importing_the_package_leaves_element_tree_unloaded():
+    """Only DAX reading needs ElementTree, which costs every process that
+    imports it; a fresh interpreter shows what the import itself loads."""
+    code = "import sys, fairsched, fairsched.cli; print(sorted(m for m in sys.modules if m.startswith('xml')))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.strip() == "[]"

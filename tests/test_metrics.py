@@ -231,6 +231,56 @@ def test_pareto_filter_matches_unique_filter_bit_for_bit(points):
     assert got.tobytes() == want.tobytes()
 
 
+@st.composite
+def sweep_sets(draw):
+    """Sets for the staircase sweep, many of 1,000 rows or more: integer
+    grids that tie in every coordinate, few y values under continuous x and
+    z, a pool of signed zeros and infinities, or a simplex front under a
+    cloud of dominated points. Any zero may carry a minus sign."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([1, 2, 30, 200, 1000, 1500]))
+    kind = draw(st.sampled_from(["grid", "equal-y", "specials", "front"]))
+    if kind == "grid":
+        pts = rng.integers(0, draw(st.integers(1, 9)), size=(n, 3)).astype(float)
+    elif kind == "equal-y":
+        pts = rng.uniform(-1, 1, size=(n, 3))
+        pts[:, 1] = rng.integers(-2, 3, size=n)
+    elif kind == "specials":
+        pts = rng.choice([-math.inf, -1.0, 0.0, 0.5, 1.0, math.inf], size=(n, 3))
+    else:
+        pts = np.vstack([rng.dirichlet(np.ones(3), size=max(1, n // 10)), rng.uniform(0.3, 2, size=(n, 3))])
+    zeros = (pts == 0) & (rng.random(pts.shape) < 0.5)
+    return np.where(zeros, -0.0, pts)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(points=sweep_sets())
+@example(points=np.array([[0.0, 1.0, 3.0], [1.0, 1.0, 2.0], [2.0, 1.0, 2.0], [3.0, 1.0, 1.0], [4.0, 0.0, 4.0]]))  # equal y
+@example(points=np.array([[math.inf, -math.inf, 0.0], [-0.0, math.inf, -math.inf], [0.0, 0.0, 0.0], [-math.inf] * 3]))
+def test_pareto_filter_sweep_matches_matrix_filter_and_naive(points):
+    got = pareto_filter(points)
+    want = pareto_filter_unique(points) + 0.0
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    naive = dominance_filter_naive(points)
+    assert len(got) == len(naive)
+    assert {tuple(p) for p in got} == {tuple(p) for p in naive}
+
+
+def test_pareto_filter_keeps_nan_rows_which_dominate_nothing():
+    finite = np.array([[1.0, 1, 1], [0, 2, 2], [2, 2, 2], [0.5, 3, 0.5]])
+    nan_rows = np.array([[math.nan, 0, 0], [0, math.nan, 0], [-1, -1, math.nan], [math.nan, 0, 0]])
+    got = pareto_filter(np.vstack([nan_rows, finite]))
+    is_nan = np.isnan(got).any(axis=1)
+    assert is_nan.sum() == len(nan_rows)  # each one, the repeated row too
+    assert got[~is_nan].tobytes() == pareto_filter(finite).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (2, 4), (0, 2), (3,), (0,), (2, 3, 1)])
+def test_pareto_filter_refuses_other_than_three_columns(shape):
+    with pytest.raises(ValueError, match=r"pareto_filter needs rows of 3 objectives, got shape"):
+        pareto_filter(np.zeros(shape))
+
 
 def test_rdi_cases():
     assert rdi([2.0, 3.0], better="smaller") == [0.0, 0.5]
